@@ -7,7 +7,8 @@
  * allocation pattern and algorithm alike:
  *   - int-dct: RLE-expand to a full coefficient window, DENSE
  *     inverse matrix product, samples pushed into a freshly
- *     allocated shared vector (the DecodedWindowCache miss shape);
+ *     allocated shared vector (the old decoded-window cache's miss
+ *     shape);
  *   - dct-w:   the same O(ws) window decode it has today, but
  *     through a freshly allocated shared vector per window;
  *   - delta:   whole-channel decode-and-slice per window — delta had

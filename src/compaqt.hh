@@ -81,7 +81,6 @@ using waveform::IqWaveform;
 using waveform::PulseLibrary;
 
 // Sharded control-rack runtime
-using runtime::DecodedWindowCache;
 using runtime::Rack;
 using runtime::RackConfig;
 using runtime::RackStats;
@@ -95,14 +94,15 @@ using runtime::LibraryRegistry;
 using runtime::LibraryVersionInfo;
 using runtime::VersionedLibrary;
 
-// Hierarchical waveform memory (two-tier decoded-window store with
-// pluggable admission; DecodedWindowCache aliases TieredWindowStore)
+// Hierarchical waveform-memory model (keys-only two-tier LRU with
+// pluggable admission, fed by the execution grid's replay)
 using runtime::AdmissionPolicy;
 using runtime::admissionPolicyName;
 using runtime::TierConfig;
 using runtime::TieredStoreConfig;
 using runtime::TieredStoreStats;
 using runtime::TieredWindowStore;
+using runtime::WindowEvent;
 
 // Instruction-stream backend (compile schedules to per-shard
 // PLAY/WAIT/PREFETCH programs; executeBatchCompiled drives them)

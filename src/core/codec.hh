@@ -291,9 +291,8 @@ class ICodec
                             SampleSpan out) const = 0;
 
     /**
-     * Reconstruct one window of a channel into caller-owned memory —
-     * the primitive the runtime decoded-window cache fills its slabs
-     * through. Writes the same samples decodeInto() would produce for
+     * Reconstruct one window of a channel into caller-owned memory.
+     * Writes the same samples decodeInto() would produce for
      * positions [window * windowSize, min((window + 1) * windowSize,
      * numSamples)) and returns the count written (the clamped tail
      * length for the last window).
@@ -327,8 +326,8 @@ class ICodec
      * implementation — but codecs override it to amortize per-call
      * overhead (one scratch frame, one checkpoint lookup, longer SIMD
      * runs) across the batch. Callers that decode K windows at a time
-     * (the decoded-window cache fill, WindowPlayer streaming, the
-     * fused decompression pipeline) go through this primitive.
+     * (WindowPlayer streaming, the fused decompression pipeline) go
+     * through this primitive.
      *
      * @pre first_window + window_count <= ch.numWindows()
      * @pre out.size() >= sum of the batch's window lengths

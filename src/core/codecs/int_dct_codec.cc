@@ -9,8 +9,8 @@
  *
  * The decode side is span-native: decodeInto streams the channel
  * window-by-window through member scratch into caller-owned memory,
- * and decompressWindowInto is the O(windowSize) primitive the runtime
- * decoded-window cache fills its slabs through. Neither allocates.
+ * and decompressWindowInto is the O(windowSize) per-window
+ * primitive. Neither allocates.
  */
 
 #include <algorithm>

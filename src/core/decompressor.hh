@@ -68,8 +68,7 @@ class Decompressor
                            SampleSpan out) const;
 
     /**
-     * Reconstruct a single window of a windowed channel — the decode
-     * primitive runtime::DecodedWindowCache fills its slabs from.
+     * Reconstruct a single window of a windowed channel.
      * Output matches the corresponding slice of decodeChannelInto()
      * exactly; returns the samples written (the clamped tail length
      * for the last window). Windows of adaptive channels resolve
@@ -92,7 +91,7 @@ class Decompressor
     /**
      * Batch-of-windows decode — the registry-dispatched face of
      * ICodec::decodeWindowsInto, and the entry every batching caller
-     * (decoded-window cache fill, WindowPlayer streaming) uses.
+     * (WindowPlayer streaming) uses.
      * Output is bit-identical to decompressWindowInto() called per
      * window at the running offset. Adaptive channels split the batch
      * at segment boundaries: a run of flat windows becomes one

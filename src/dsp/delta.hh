@@ -16,7 +16,7 @@
  * make per-window random access O(n). Encoding with a checkpoint
  * stride stores the running pattern at each window boundary, so
  * deltaDecodeWindowInto() reconstructs any window in O(stride) — the
- * property the decoded-window cache needs from every windowed codec.
+ * property window-level playback needs from every windowed codec.
  */
 
 #ifndef COMPAQT_DSP_DELTA_HH

@@ -204,8 +204,8 @@ Compiler::compileShard(const circuits::Schedule &part,
                      });
 
     // ---- gather first-use windows for prefetch hoisting. Later
-    // plays of the same (gate, channel, window) hit the cache on
-    // their own; only the first demand of each cacheable window is
+    // plays of the same (gate, channel, window) hit the modeled
+    // memory on their own; only the first demand of each window is
     // worth warming.
     const bool prefetchable = cfg_.emitPrefetch && cc.compressed &&
                               rack_.cache().capacity() > 0;

@@ -14,7 +14,8 @@
  * through the program's gate table, and — where the stream has idle
  * slack — PREFETCH ops for each first-use window are hoisted at
  * least `prefetchLeadCycles` ahead of their consuming PLAY, warming
- * the rack's DecodedWindowCache before playback demands the window.
+ * the rack's modeled waveform memory before playback demands the
+ * window.
  *
  * Every program is bounded: the mandatory stream (gate table, PLAYs,
  * WAITs, BARRIER, HALT) must fit `instructionMemoryWords` or the

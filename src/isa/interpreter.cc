@@ -1,10 +1,8 @@
 #include "isa/interpreter.hh"
 
-#include <map>
 #include <stdexcept>
 #include <string>
 
-#include "runtime/tiered_store.hh"
 #include "telemetry/trace.hh"
 
 namespace compaqt::isa
@@ -45,11 +43,6 @@ Interpreter::run(const InstructionProgram &prog)
             std::to_string(vlib_.version) +
             " — recompile after the hot-swap");
     InterpreterResult res;
-    // Prefetch pins, keyed like the cache: a pinned window cannot be
-    // recycled out from under its pending PLAY, and dropping the pin
-    // at consumption returns the slot to normal LRU life.
-    std::map<runtime::DecodedWindowKey, runtime::DecodedWindowCache::Handle>
-        pins;
     // Per-op dwell tracing: the enable flag is read once per run (a
     // mid-run toggle catches the next program), so the disabled-path
     // cost inside the dispatch loop is one register test. The
@@ -126,44 +119,25 @@ Interpreter::run(const InstructionProgram &prog)
             if (player_.decodes() && count > 0)
                 player_.playWindows(id, entry, in.channel, first,
                                     count, res.play);
-            // Retire prefetch pins this range consumed.
-            auto it = pins.lower_bound(
-                runtime::DecodedWindowKey{id, in.channel, first});
-            while (it != pins.end() && it->first.gate == id &&
-                   it->first.channel == in.channel &&
-                   it->first.window < first + count)
-                it = pins.erase(it);
             break;
         }
         case Opcode::Wait:
             ++res.stats.waits;
             res.stats.idleCycles += in.arg;
             break;
-        case Opcode::Prefetch: {
-            const waveform::GateId &id = prog.gate(in.gateRef);
-            const core::CompressedEntry &entry =
-                resolveGate(vlib_, prog, in.gateRef);
-            const std::uint32_t win = in.prefetchWindow();
-            auto handle = player_.prefetchWindow(
-                id, entry, in.channel, win, in.prefetchTier());
-            if (handle) {
-                ++res.stats.prefetchesIssued;
-                pins.insert_or_assign(
-                    runtime::DecodedWindowKey{id, in.channel, win},
-                    std::move(handle));
-            } else {
-                // Nothing decoded: already resident/in flight (a
-                // tier-0 hint may still have promoted it) or not
-                // cacheable.
-                ++res.stats.prefetchesSkipped;
-            }
+        case Opcode::Prefetch:
+            // Only an event for the model: whether it warms a cold
+            // window is decided when the grid replays the cell's log.
+            ++res.stats.prefetches;
+            player_.prefetchWindow(prog.gate(in.gateRef),
+                                   resolveGate(vlib_, prog, in.gateRef),
+                                   in.channel, in.prefetchWindow(),
+                                   in.prefetchTier());
             break;
-        }
         case Opcode::Barrier:
             ++res.stats.barriers;
             break;
         case Opcode::Halt:
-            pins.clear();
             halted = true;
             break;
         }

@@ -5,10 +5,10 @@
  * runtime::WindowPlayer, so the stats it produces are bit-identical
  * to the direct schedule-walking path by construction.
  *
- * PREFETCH ops warm the rack's DecodedWindowCache and pin the warmed
- * window through its ref-counted Handle; the pin is dropped when the
- * consuming PLAY retires the window range, so an eviction burst
- * between a prefetch and its use cannot undo the warming.
+ * A PREFETCH op only records an event for the rack's waveform-memory
+ * model (when the interpreter runs inside RuntimeService's grid with
+ * a cell log); the grid's replay decides whether it warmed a cold
+ * window. Playback itself always decodes.
  */
 
 #ifndef COMPAQT_ISA_INTERPRETER_HH
@@ -32,11 +32,9 @@ struct InterpreterStats
     std::uint64_t waits = 0;
     /** WAIT cycles the modeled sequencer idled. */
     std::uint64_t idleCycles = 0;
-    /** PREFETCH ops that decoded-and-pinned a cold window. */
-    std::uint64_t prefetchesIssued = 0;
-    /** PREFETCH ops that were no-ops: window already resident, flat
-     *  bypass window, or the cache is disabled. */
-    std::uint64_t prefetchesSkipped = 0;
+    /** PREFETCH ops retired. How many of them warmed a cold window
+     *  is the model's answer (RackStats::prefetchesIssued). */
+    std::uint64_t prefetches = 0;
     std::uint64_t barriers = 0;
 };
 
@@ -65,10 +63,13 @@ class Interpreter
     }
 
     /** Execute against an explicitly pinned epoch (the batch path:
-     *  every cell of one batch shares the batch's pin). */
+     *  every cell of one batch shares the batch's pin). With `log`,
+     *  every played range and PREFETCH is recorded for the grid's
+     *  model replay (see runtime::WindowPlayer). */
     Interpreter(const runtime::Rack &rack,
-                runtime::VersionedLibrary vlib)
-        : rack_(rack), vlib_(std::move(vlib)), player_(rack, vlib_)
+                runtime::VersionedLibrary vlib,
+                runtime::WindowEventLog *log = nullptr)
+        : vlib_(std::move(vlib)), player_(rack, vlib_, log)
     {
     }
 
@@ -93,7 +94,6 @@ class Interpreter
     InterpreterResult run(const InstructionProgram &prog);
 
   private:
-    const runtime::Rack &rack_;
     runtime::VersionedLibrary vlib_;
     runtime::WindowPlayer player_;
 };

@@ -14,144 +14,91 @@ WindowPlayer::playWindows(const waveform::GateId &id,
     const auto &cw = entry.cw;
     const core::CompressedChannel &channel = ch == 0 ? cw.i : cw.q;
     const std::size_t ws = channel.windowSize;
-    const bool adaptive = channel.isAdaptive();
-    DecodedWindowCache &cache = rack_.cache();
-
-    if (adaptive) {
-        // Adaptive channels keep the per-window loop: flat windows
-        // are constant fills that bypass both the IDCT and the cache,
-        // and the per-window bypassed accounting has no batch
-        // equivalent. One codec-instance resolution per range; the
-        // loop dispatches straight to the span primitive.
-        const core::ICodec &codec = dec_.resolve(cw.codec, ws);
-        if (scratch_.size() < ws)
-            scratch_.resize(ws);
-        for (std::uint32_t w = first; w < first + count; ++w) {
-            // Flat windows are served as constant-fill spans straight
-            // from the repeat codeword: no IDCT, and no cache slot
-            // burned on a value the codeword already encodes in one
-            // word.
-            std::size_t local = 0;
-            const core::AdaptiveSegment &seg =
-                channel.segmentForWindow(w, local);
-            if (seg.isFlat) {
-                const std::size_t len = channel.windowSamples(w);
-                std::fill_n(scratch_.begin(), len, seg.value);
-                c.samples += len;
-                c.bypassed += len;
-                ++c.windows;
-                continue;
-            }
-            if (cached_) {
-                const DecodedWindowKey key{id, ch, w, libVersion_};
-                const auto handle =
-                    cache.get(key, ws, [&](SampleSpan out) {
-                        return codec.decompressWindowInto(
-                            seg.windows, local, out);
-                    });
-                c.samples += handle.size();
-            } else {
-                c.samples += codec.decompressWindowInto(
-                    seg.windows, local,
-                    SampleSpan(scratch_.data(), ws));
-            }
-            ++c.windows;
-        }
-        return;
-    }
-
     if (scratch_.size() < ws * kBatchWindows)
         scratch_.resize(ws * kBatchWindows);
     const std::uint32_t end = first + count;
-
-    if (!cached_) {
-        // Uncached rack: stream the range through the batch decode
-        // primitive in kBatchWindows chunks — same samples, counted
-        // identically, roughly an eighth of the per-window dispatch.
-        for (std::uint32_t w = first; w < end;) {
-            const auto run =
-                std::min<std::uint32_t>(kBatchWindows, end - w);
-            c.samples += dec_.decodeWindowsInto(
-                channel, cw.codec, w, run,
-                SampleSpan(scratch_.data(), scratch_.size()));
-            c.windows += run;
-            w += run;
-        }
-        return;
-    }
-
-    // Cached rack: probe window-by-window (so hit/miss counts and
-    // LRU order are exactly those of the per-window get() loop), but
-    // decode runs of consecutive misses with ONE batch decode and
-    // put() each slice. A hot rack stays all-hits and never decodes;
-    // a cold sweep decodes kBatchWindows windows per dispatch.
     for (std::uint32_t w = first; w < end;) {
-        if (const auto hit = cache.lookup({id, ch, w, libVersion_})) {
-            c.samples += hit.size();
-            ++c.windows;
-            ++w;
-            continue;
-        }
-        // Miss at w (counted by lookup). Extend the run over further
-        // misses; a hit ends it and is consumed after the fill so
-        // every probe result is used exactly once.
-        DecodedWindowCache::Handle stop;
-        std::uint32_t run = 1;
-        while (run < kBatchWindows && w + run < end &&
-               !(stop = cache.lookup(
-                     {id, ch, w + run, libVersion_})))
-            ++run;
-        dec_.decodeWindowsInto(
+        const auto run = std::min<std::uint32_t>(kBatchWindows, end - w);
+        c.samples += dec_.decodeWindowsInto(
             channel, cw.codec, w, run,
             SampleSpan(scratch_.data(), scratch_.size()));
-        std::size_t off = 0;
-        for (std::uint32_t j = 0; j < run; ++j) {
-            const std::size_t len = channel.windowSamples(w + j);
-            cache.put({id, ch, w + j, libVersion_},
-                      ConstSampleSpan(scratch_.data() + off, len),
-                      ws);
-            c.samples += len;
-            ++c.windows;
-            off += len;
-        }
         w += run;
-        if (stop) {
-            c.samples += stop.size();
-            ++c.windows;
-            ++w;
-        }
+    }
+    c.windows += count;
+
+    if (!channel.isAdaptive()) {
+        record(id, entry, ch, first, count, false, 0);
+        return;
+    }
+    // Adaptive channel: the decode above already served flat windows
+    // as constant fills. Walk the window-aligned segments once to
+    // count those samples as bypassed and to record only the ramp
+    // runs — a flat window never occupies the model.
+    std::uint32_t begin = 0;
+    for (const core::AdaptiveSegment &seg : channel.segments) {
+        if (begin >= end)
+            break;
+        const auto span =
+            static_cast<std::uint32_t>((seg.samples() + ws - 1) / ws);
+        const std::uint32_t lo = std::max(first, begin);
+        const std::uint32_t hi = std::min(end, begin + span);
+        begin += span;
+        if (lo >= hi)
+            continue;
+        if (seg.isFlat)
+            c.bypassed += std::min(hi * ws, channel.numSamples) -
+                          std::min(lo * ws, channel.numSamples);
+        else
+            record(id, entry, ch, lo, hi - lo, false, 0);
     }
 }
 
-DecodedWindowCache::Handle
+void
 WindowPlayer::prefetchWindow(const waveform::GateId &id,
                              const core::CompressedEntry &entry,
                              std::uint8_t ch, std::uint32_t window,
                              std::uint8_t tier)
 {
-    if (!decode_ || !cached_)
-        return {};
-    const auto &cw = entry.cw;
-    const core::CompressedChannel &channel = ch == 0 ? cw.i : cw.q;
-    const core::CompressedChannel *winChannel = &channel;
-    std::size_t winIndex = window;
+    if (!log_)
+        return;
+    const core::CompressedChannel &channel =
+        ch == 0 ? entry.cw.i : entry.cw.q;
     if (channel.isAdaptive()) {
         std::size_t local = 0;
-        const core::AdaptiveSegment &seg =
-            channel.segmentForWindow(window, local);
-        if (seg.isFlat)
-            return {};
-        winChannel = &seg.windows;
-        winIndex = local;
+        if (channel.segmentForWindow(window, local).isFlat)
+            return;
     }
-    const std::size_t ws = channel.windowSize;
-    const core::ICodec &codec = dec_.resolve(cw.codec, ws);
-    return rack_.cache().prefetch(
-        DecodedWindowKey{id, ch, window, libVersion_}, ws, tier,
-        [&](SampleSpan out) {
-            return codec.decompressWindowInto(*winChannel, winIndex,
-                                              out);
-        });
+    record(id, entry, ch, window, 1, true, tier);
+}
+
+void
+WindowPlayer::record(const waveform::GateId &id,
+                     const core::CompressedEntry &entry, std::uint8_t ch,
+                     std::uint32_t first, std::uint32_t count,
+                     bool prefetch, std::uint8_t tier)
+{
+    if (!log_)
+        return;
+    const auto &cw = entry.cw;
+    const auto i_windows = static_cast<std::uint32_t>(cw.i.numWindows());
+    if (ch == 1)
+        first += i_windows;
+    // A range continuing the previous play of the same gate (the Q
+    // channel right after the I channel, or a chunk right after the
+    // chunk before it) extends that event: same windows, same order.
+    if (!prefetch && !log_->empty()) {
+        WindowEvent &last = log_->back();
+        if (!last.prefetch && last.gate == id &&
+            last.first + last.count == first) {
+            last.count += count;
+            return;
+        }
+    }
+    log_->push_back(
+        {id, prefetch, tier, first, count, i_windows,
+         i_windows + static_cast<std::uint32_t>(cw.q.numWindows()),
+         static_cast<std::uint32_t>((ch == 0 ? cw.i : cw.q).windowSize),
+         libVersion_});
 }
 
 } // namespace compaqt::runtime

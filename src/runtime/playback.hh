@@ -1,10 +1,15 @@
 /**
  * @file
- * The one window-playback loop both execution back ends share:
- * decode a range of windows of one gate channel through the rack's
- * DecodedWindowCache (or straight into reused scratch on an uncached
- * rack), with adaptive flat windows served as constant fills through
- * the IDCT bypass.
+ * The one window-playback loop both execution back ends share: decode
+ * a range of windows of one gate channel straight into reused scratch
+ * through the batch decode kernel, with adaptive flat windows served
+ * as constant fills through the IDCT bypass. Every play decodes; the
+ * rack's waveform-memory model never sits on the sample path.
+ *
+ * Inside RuntimeService's grid a player also records what it played —
+ * one WindowEvent per range, one per PREFETCH — into its cell's log,
+ * which the grid replays into the rack's model after every cell has
+ * finished. A player built without a log decodes and records nothing.
  *
  * RuntimeService's direct schedule-walking path and the
  * instruction-stream interpreter (isa::Interpreter) both play
@@ -36,50 +41,40 @@ struct PlaybackCounters
 };
 
 /**
- * Per-cell playback state: one Decompressor, the cached/uncached
- * mode decision, and the reused scratch buffer. Not thread-safe —
- * build one per worker cell, like the codec instances it resolves.
+ * Per-cell playback state: one Decompressor, the reused scratch
+ * buffer, and the optional event log. Not thread-safe — build one per
+ * worker cell, like the codec instances it resolves.
  */
 class WindowPlayer
 {
   public:
     /**
-     * Windows decoded per batch on the non-adaptive paths: an
-     * uncached range decodes in kBatch-window chunks, and a cached
-     * range batch-decodes runs of consecutive misses up to this
-     * long. 8 windows keeps the scratch footprint at a few KB while
+     * Windows decoded per batch: a range decodes in kBatchWindows
+     * chunks. 8 windows keeps the scratch footprint at a few KB while
      * amortizing the per-batch dispatch (codec resolution, counter
      * bumps, virtual call) well past the point of diminishing
-     * returns — the bench's K sweep quantifies exactly that curve.
+     * returns — the decode bench's K sweep quantifies that curve.
      */
     static constexpr std::uint32_t kBatchWindows = 8;
 
     /**
-     * Play against a pinned library epoch: cache keys carry
-     * `vlib.version`, so windows decoded from different calibrations
-     * can never satisfy each other's lookups. The player keeps only
-     * the version — the caller owns the pin (and passes the entries).
+     * Play against a pinned library epoch: recorded events carry
+     * `vlib.version`, so windows of different calibrations never
+     * satisfy each other in the model. The caller owns the pin (and
+     * passes the entries). With `log` non-null, and on a compressed
+     * rack whose model has capacity, every played range and prefetch
+     * is appended to it.
      */
-    WindowPlayer(const Rack &rack, const VersionedLibrary &vlib)
-        : rack_(rack),
-          decode_(rack.config().controller.compressed),
-          // An uncached rack decodes straight into reused scratch —
-          // no lock, no refcount — so the cached/uncached comparison
-          // measures the cache, not overhead of a disabled cache
-          // object.
-          cached_(rack.cache().capacity() > 0),
+    WindowPlayer(const Rack &rack, const VersionedLibrary &vlib,
+                 WindowEventLog *log = nullptr)
+        : decode_(rack.config().controller.compressed),
+          log_(decode_ && rack.cache().capacity() > 0 ? log : nullptr),
           libVersion_(vlib.version)
     {
     }
 
-    /** Pin the rack's current epoch (single-library callers). */
-    explicit WindowPlayer(const Rack &rack)
-        : WindowPlayer(rack, rack.currentLibrary())
-    {
-    }
-
     /** False for uncompressed baseline racks: playback streams raw
-     *  samples and never touches payloads or the cache. */
+     *  samples and never touches payloads or the model. */
     bool decodes() const { return decode_; }
 
     /**
@@ -93,28 +88,25 @@ class WindowPlayer
                      std::uint32_t count, PlaybackCounters &c);
 
     /**
-     * Warm one window of a channel into the rack store (the PREFETCH
-     * op's body). `tier` is the compiler's placement hint: 0 targets
-     * the fast tier (promoting an already-staged tier-1 entry), 1
-     * stages into the slow tier. Returns the pinning Handle for a
-     * cold prefetch that decoded and inserted, or a null Handle when
-     * nothing was decoded: cache disabled, key already resident or
-     * in flight (a tier-0 hint still promotes it), or a flat bypass
-     * window (which never occupies a cache slot).
+     * The PREFETCH op's body: record a prefetch of one window with
+     * the compiler's tier hint (0 fast, 1 slow). Flat bypass windows
+     * never occupy the model and record nothing; so does a player
+     * without a log.
      */
-    DecodedWindowCache::Handle
-    prefetchWindow(const waveform::GateId &id,
-                   const core::CompressedEntry &entry, std::uint8_t ch,
-                   std::uint32_t window, std::uint8_t tier = 0);
-
-    /** The cache-key library version this player plays under. */
-    std::uint64_t libVersion() const { return libVersion_; }
+    void prefetchWindow(const waveform::GateId &id,
+                        const core::CompressedEntry &entry,
+                        std::uint8_t ch, std::uint32_t window,
+                        std::uint8_t tier = 0);
 
   private:
-    const Rack &rack_;
+    void record(const waveform::GateId &id,
+                const core::CompressedEntry &entry, std::uint8_t ch,
+                std::uint32_t first, std::uint32_t count, bool prefetch,
+                std::uint8_t tier);
+
     bool decode_;
-    bool cached_;
-    std::uint64_t libVersion_ = 0;
+    WindowEventLog *log_;
+    std::uint64_t libVersion_;
     core::Decompressor dec_;
     std::vector<double> scratch_;
 };

@@ -6,7 +6,7 @@
  * behind a shared scheduler (Khammassi et al., arXiv:2205.06851;
  * Hornibrook et al., arXiv:1409.2202). The rack owns the qubit->shard
  * plan, the per-shard controllers bound to one shared compressed
- * library, and the fleet-wide decoded-window cache.
+ * library, and the rack's waveform-memory model.
  */
 
 #ifndef COMPAQT_RUNTIME_RACK_HH
@@ -64,14 +64,13 @@ struct RackConfig
     ShardPolicy policy = ShardPolicy::LocalityAware;
     /** Per-shard controller configuration (every RFSoC identical). */
     uarch::ControllerConfig controller;
-    /** Fast-tier (BRAM) decoded-window capacity in windows;
-     *  0 = uncached. */
+    /** Modeled fast-tier (BRAM) capacity in windows, a rack total;
+     *  0 = no memory model (playback decodes either way). */
     std::size_t cacheWindows = 4096;
     /** Fast-tier sample budget; 0 = bounded by cacheWindows alone
      *  (see TierConfig::sampleBudget). */
     std::size_t cacheSampleBudget = 0;
-    /** Slow-tier window capacity; 0 = single-tier store (the
-     *  pre-hierarchy default). */
+    /** Modeled slow-tier window capacity; 0 = single-tier model. */
     std::size_t tier1Windows = 0;
     /** Slow-tier sample budget; 0 = bounded by tier1Windows alone. */
     std::size_t tier1SampleBudget = 0;
@@ -81,22 +80,21 @@ struct RackConfig
      *  RackStats::cache.penaltyCycles. */
     std::uint64_t tier1PenaltyCycles = 8;
 
-    /** The decoded-window store shape these knobs describe. */
+    /** The waveform-memory model these knobs describe. */
     TieredStoreConfig
     storeConfig() const
     {
         return {{cacheWindows, cacheSampleBudget},
                 {tier1Windows, tier1SampleBudget},
                 admission,
-                tier1PenaltyCycles,
-                0};
+                tier1PenaltyCycles};
     }
 };
 
 /**
  * The sharded fleet: N identical controllers over one epoch-managed
- * compressed library, plus the shared decoded-window cache. Immutable
- * after construction except for the cache and the library registry
+ * compressed library, plus the rack's waveform-memory model. Immutable
+ * after construction except for the model and the library registry
  * (hot-swap), so shards can execute concurrently.
  *
  * Library ownership is epoch-managed: the rack holds a
@@ -184,8 +182,9 @@ class Rack
      *  to execute()). */
     const uarch::Controller &controller(int shard) const;
 
-    /** The fleet-shared decoded-window cache. */
-    DecodedWindowCache &cache() const { return cache_; }
+    /** The rack's waveform-memory model (keys only; fed by the
+     *  execution grid's replay). */
+    TieredWindowStore &cache() const { return cache_; }
 
     /** Fleet capacity: sum of per-shard concurrent-qubit capacity. */
     std::size_t maxConcurrentQubits() const;
@@ -195,7 +194,7 @@ class Rack
     std::shared_ptr<LibraryRegistry> registry_;
     ShardPlan plan_;
     std::vector<uarch::Controller> controllers_;
-    mutable DecodedWindowCache cache_;
+    mutable TieredWindowStore cache_;
 };
 
 } // namespace compaqt::runtime

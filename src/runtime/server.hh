@@ -13,9 +13,9 @@
  * fleet atomically, and in-flight batches finish on the epoch they
  * pinned (RCU-style: the swap never drains, never blocks
  * submission). Tenants are routed to racks by a consistent-hash ring
- * (stable rack affinity keeps a tenant's decoded-window working set
- * on one cache) with least-loaded spill when the home rack backs up,
- * or by pure least-loaded routing (RoutingPolicy).
+ * (stable rack affinity keeps a tenant's window working set in one
+ * rack's memory model) with least-loaded spill when the home rack
+ * backs up, or by pure least-loaded routing (RoutingPolicy).
  *
  * Submission is admission-controlled per rack: submit() returns a
  * std::future<JobResult> immediately and never blocks the caller
@@ -142,9 +142,11 @@ struct JobResult
      * The job's own rollup (only its cells of the execution grid).
      * Demand/volume fields are pure functions of (rack, schedule,
      * pinned library) — bit-identical across worker counts and
-     * submission interleavings; cache counters and wall-clock
-     * attribute to the whole coalesced batch and stay zero here (see
-     * ServerStats). Populated only for Completed jobs.
+     * submission interleavings; waveform-memory model counters and
+     * wall-clock attribute to the whole coalesced batch and stay zero
+     * here (see ServerStats), and prefetchesIssued depends on the
+     * model state the batch reached. Populated only for Completed
+     * jobs.
      */
     RackStats stats;
     JobTiming timing;
@@ -268,8 +270,13 @@ struct ServerStats
     Percentiles queueLatency;
     Percentiles executeLatency;
     Percentiles totalLatency;
-    /** Decoded-window cache deltas summed over dispatched batches
-     *  (each rack's mixed-tenant traffic shares that rack's cache). */
+    /** Waveform-memory model counters summed over dispatched
+     *  batches. Each batch contributes exactly its own replay's
+     *  counters (each rack's mixed-tenant traffic shares that rack's
+     *  model), so the sum is bit-identical at any worker count for a
+     *  given batch sequence. A batch that throws and is re-run one job
+     *  at a time contributes only the re-runs: the failed batch never
+     *  reached the model. */
     DecodedCacheStats cache;
     double cacheHitRate = 0.0;
     /** Per-rack slices, indexed like the fleet. */

@@ -20,19 +20,20 @@ struct CellResult
 {
     uarch::ExecutionStats demand;
     PlaybackCounters play;
-    /** Compiled back end only: PREFETCH ops that warmed a window. */
+    /** Cold prefetches the model inserted for this cell (set by the
+     *  grid's replay; compiled back end only). */
     std::uint64_t prefetchesIssued = 0;
 };
 
 /**
  * Play one shard's slice of one circuit: stats-only demand accounting
- * on the shard's controller plus window-by-window decode of every
- * gate pulse through the rack cache (the direct, schedule-walking
+ * on the shard's controller plus a decode of every gate pulse's
+ * windows, recorded into the cell's log (the direct, schedule-walking
  * back end).
  */
 CellResult
 playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
-          const circuits::Schedule &part)
+          const circuits::Schedule &part, WindowEventLog &log)
 {
     COMPAQT_TRACE_SPAN("shard", "shard.play", "shard",
                        static_cast<std::uint64_t>(shard), "events",
@@ -40,7 +41,7 @@ playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
     CellResult cell;
     cell.demand = rack.controller(shard).execute(part, *vlib);
 
-    WindowPlayer player(rack, vlib);
+    WindowPlayer player(rack, vlib, &log);
     for (const auto &e : part.events) {
         const auto id = uarch::gateIdFor(e.gate);
         if (!id)
@@ -51,7 +52,7 @@ playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
         ++cell.play.gates;
         // Baseline (uncompressed) controllers stream raw samples with
         // no decompression pipeline, so playback touches neither the
-        // compressed payload nor the cache.
+        // compressed payload nor the model.
         if (!player.decodes()) {
             cell.play.samples += entry->cw.stats().originalSamples;
             continue;
@@ -79,7 +80,8 @@ CellResult
 playShardCompiled(const Rack &rack, const VersionedLibrary &vlib,
                   int shard, const circuits::Schedule &part,
                   const isa::Compiler &compiler,
-                  isa::ProgramCache &cache, std::uint64_t cfgHash)
+                  isa::ProgramCache &cache, std::uint64_t cfgHash,
+                  WindowEventLog &log)
 {
     COMPAQT_TRACE_SPAN("shard", "shard.play_compiled", "shard",
                        static_cast<std::uint64_t>(shard), "events",
@@ -100,10 +102,8 @@ playShardCompiled(const Rack &rack, const VersionedLibrary &vlib,
                            static_cast<std::uint64_t>(shard));
         prog = cache.put(key, compiler.compileShard(part));
     }
-    isa::Interpreter interp(rack, vlib);
-    const isa::InterpreterResult run = interp.run(*prog);
-    cell.play = run.play;
-    cell.prefetchesIssued = run.stats.prefetchesIssued;
+    isa::Interpreter interp(rack, vlib, &log);
+    cell.play = interp.run(*prog).play;
     return cell;
 }
 
@@ -201,8 +201,11 @@ finalizeFleet(RackStats &stats)
 /**
  * The shared batch skeleton both back ends run: partition every
  * schedule, execute the (circuit, shard) grid concurrently through
- * `cellFn`, and reduce serially in a fixed order so no rolled-up
- * number depends on worker interleaving.
+ * `cellFn` (each cell recording into its own event log), then reduce
+ * serially in a fixed order — replaying the logs into the rack's
+ * waveform-memory model in (circuit, shard) order first — so no
+ * rolled-up number, model counters included, depends on worker
+ * interleaving.
  */
 template <typename CellFn>
 BatchExecution
@@ -229,18 +232,23 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
         unowned[c] = batch[c].events.size() - kept;
     }
 
-    const auto cache_before = rack.cache().stats();
     std::vector<CellResult> cells(n_cells);
+    std::vector<WindowEventLog> logs(n_cells);
     const auto t0 = std::chrono::steady_clock::now();
     exec.forEach(n_cells, [&](std::size_t i) {
         const std::size_t c = i / static_cast<std::size_t>(n_shards);
         const int s = static_cast<int>(
             i % static_cast<std::size_t>(n_shards));
         cells[i] =
-            cellFn(s, parts[c][static_cast<std::size_t>(s)]);
+            cellFn(s, parts[c][static_cast<std::size_t>(s)], logs[i]);
     });
+    // Reached only when every cell succeeded: a batch that throws
+    // leaves the model exactly as it found it.
+    std::vector<std::uint64_t> inserted(n_cells, 0);
+    const DecodedCacheStats cache = rack.cache().replay(logs, inserted);
     const auto t1 = std::chrono::steady_clock::now();
-    const auto cache_after = rack.cache().stats();
+    for (std::size_t i = 0; i < n_cells; ++i)
+        cells[i].prefetchesIssued = inserted[i];
 
     // Serial, fixed-order reduction: shard-level peaks are maxima
     // over the batch, totals are sums — independent of how workers
@@ -270,9 +278,8 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
     }
     finalizeFleet(stats);
 
-    stats.cache =
-        DecodedCacheStats::delta(cache_before, cache_after);
-    stats.cacheHitRate = stats.cache.hitRate();
+    stats.cache = cache;
+    stats.cacheHitRate = cache.hitRate();
 
     stats.wallSeconds =
         std::chrono::duration<double>(t1 - t0).count();
@@ -322,11 +329,11 @@ RuntimeService::executeBatchPerJob(
     // Pin one library epoch for the whole batch: every cell sees the
     // same calibration even if a hot-swap lands mid-batch.
     const VersionedLibrary vlib = rack_.currentLibrary();
-    return runGrid(
-        rack_, vlib, exec_, batch,
-        [this, &vlib](int s, const circuits::Schedule &part) {
-            return playShard(rack_, vlib, s, part);
-        });
+    return runGrid(rack_, vlib, exec_, batch,
+                   [this, &vlib](int s, const circuits::Schedule &part,
+                                 WindowEventLog &log) {
+                       return playShard(rack_, vlib, s, part, log);
+                   });
 }
 
 RackStats
@@ -362,10 +369,10 @@ RuntimeService::executeBatchCompiledPerJob(
     const std::uint64_t cfg_hash = compilerCfgHash(cfg);
     return runGrid(
         rack_, vlib, exec_, batch,
-        [this, &vlib, &compiler,
-         cfg_hash](int s, const circuits::Schedule &part) {
+        [this, &vlib, &compiler, cfg_hash](
+            int s, const circuits::Schedule &part, WindowEventLog &log) {
             return playShardCompiled(rack_, vlib, s, part, compiler,
-                                     progCache_, cfg_hash);
+                                     progCache_, cfg_hash, log);
         });
 }
 

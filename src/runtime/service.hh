@@ -4,13 +4,15 @@
  * circuits, split every schedule across the fleet by qubit ownership,
  * execute the (circuit, shard) grid concurrently on a worker pool,
  * and roll the per-shard ExecutionStats up into one RackStats record
- * (fleet demand, cache behavior, wall-clock throughput).
+ * (fleet demand, waveform-memory model counters, wall-clock
+ * throughput).
  *
- * Playback is modelled as decoding every scheduled gate's I/Q
- * channels window-by-window through the rack's DecodedWindowCache —
- * the workload that makes the cache load-bearing: the first play of a
- * gate pays the IDCT, every later play on any shard replays decoded
- * windows.
+ * Playback decodes every scheduled gate's I/Q channels in window
+ * batches, every time — the way COMPAQT decompresses on the way to
+ * the DACs. Each cell records the ranges it played; once the whole
+ * grid has succeeded, the serial reduction replays those records into
+ * the rack's waveform-memory model in (circuit, shard) order, which
+ * is what makes the model's counters deterministic.
  */
 
 #ifndef COMPAQT_RUNTIME_SERVICE_HH
@@ -36,17 +38,18 @@ struct ShardStats
     uarch::ExecutionStats demand;
     /** Physical gate pulses played on this shard. */
     std::uint64_t gatesPlayed = 0;
-    /** Compressed windows decoded (through the cache). */
+    /** Compressed windows decoded (flat bypass windows included). */
     std::uint64_t windowsDecoded = 0;
     /** Samples reconstructed for the shard's DACs. */
     std::uint64_t samplesDecoded = 0;
     /** Of samplesDecoded, samples served by the adaptive IDCT
-     *  bypass as constant fills (never decoded, never cached). */
+     *  bypass as constant fills (never transformed, never in the
+     *  model). */
     std::uint64_t samplesBypassed = 0;
-    /** PREFETCH ops that warmed a cold window (instruction-stream
-     *  back end only; zero on the direct path). Excluded from the
-     *  two back ends' bit-identity contract, like the cache
-     *  counters. */
+    /** PREFETCH ops the model's replay found cold and inserted
+     *  (instruction-stream back end only; zero on the direct path).
+     *  Deterministic at any worker count, but excluded from the two
+     *  back ends' bit-identity contract, like the model counters. */
     std::uint64_t prefetchesIssued = 0;
 };
 
@@ -76,10 +79,14 @@ struct RackStats
      *  path; excluded from back-end bit-identity). */
     std::uint64_t prefetchesIssued = 0;
 
-    /** Cache counters over this batch — deltas of the rack-global
-     *  cache counters, so they attribute cleanly only while a single
-     *  service drives the rack; concurrent services on one Rack fold
-     *  each other's hits/misses into their deltas. */
+    /** Waveform-memory model counters of this batch alone: the
+     *  grid's replay applies the batch's events under the model's
+     *  lock and returns what they added, so concurrent services on
+     *  one Rack never fold into each other's counters. A pure
+     *  function of the model state the batch found and the batch —
+     *  bit-identical at any worker count on both back ends. A batch
+     *  that throws never touches the model. (entries/residentSamples
+     *  are the model's state after the replay.) */
     DecodedCacheStats cache;
     double cacheHitRate = 0.0;
 
@@ -123,18 +130,21 @@ struct BatchExecution
      * Per-schedule rollups: jobs[j] covers only batch[j]'s cells of
      * the execution grid. Every field is a pure function of
      * (rack, batch[j]) — independent of batch composition, submission
-     * interleaving, and worker count — except the cache counters and
-     * wall-clock throughput, which attribute only to the whole batch
-     * and stay zero here.
+     * interleaving, and worker count — except three: the model
+     * counters and wall-clock throughput attribute only to the whole
+     * batch and stay zero here, and prefetchesIssued counts the
+     * job's cold prefetches against the model state its batch
+     * reached (worker-count independent, composition dependent).
      */
     std::vector<RackStats> jobs;
 };
 
 /**
- * Executes batches of scheduled circuits on one Rack. The per-shard
- * demand numbers in RackStats are bit-identical across worker counts:
- * every (circuit, shard) cell is a pure function of its schedule
- * slice, computed independently and reduced in a fixed order.
+ * Executes batches of scheduled circuits on one Rack. Every RackStats
+ * field but the wall-clock ones is bit-identical across worker
+ * counts: every (circuit, shard) cell is a pure function of its
+ * schedule slice, computed independently and reduced — model replay
+ * included — in a fixed order.
  */
 class RuntimeService
 {
@@ -159,11 +169,12 @@ class RuntimeService
      * Execute through the instruction-stream back end: each cell is
      * lowered to a per-shard PLAY/WAIT/PREFETCH program by
      * isa::Compiler and driven by isa::Interpreter against the same
-     * cache. Every deterministic RackStats field (per-shard demand
-     * and playback tallies, fleet rollups, missingGates,
+     * model. Every demand and playback RackStats field (per-shard
+     * demand and playback tallies, fleet rollups, missingGates,
      * unownedEvents, feasible) is bit-identical to executeBatch() at
-     * any worker count; the cache counters, wall-clock rates, and
-     * prefetchesIssued differ by design — prefetching is the point.
+     * any worker count; the model counters and prefetchesIssued
+     * differ by design — prefetching is the point — but are
+     * themselves worker-count independent.
      * @throws std::invalid_argument when a shard's mandatory stream
      *         exceeds cfg.instructionMemoryWords
      */

@@ -1,6 +1,8 @@
 #include "runtime/tiered_store.hh"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -12,41 +14,40 @@ namespace compaqt::runtime
 namespace
 {
 
-/** Windows carved per slab: large enough to amortize the allocation,
- *  small enough that a tiny store does not over-reserve. */
-constexpr std::size_t kWindowsPerSlab = 64;
+using Stats = TieredStoreStats;
 
-/** Registry counters of the tier plane, looked up once (the hot path
- *  pays one relaxed striped add per event). Always-on, like every
- *  registry metric: symmetric across the tracing on/off legs of the
- *  telemetry overhead gate. */
-struct StoreMetrics
+/** The summed counters (all but the point-in-time fields). */
+constexpr std::uint64_t Stats::*kCounters[] = {
+    &Stats::hits,         &Stats::misses,         &Stats::evictions,
+    &Stats::prefetches,   &Stats::prefetchHits,   &Stats::prefetchWasted,
+    &Stats::promotions,   &Stats::demotions,      &Stats::penaltyCycles};
+constexpr std::uint64_t TierCounters::*kTierCounters[] = {
+    &TierCounters::hits, &TierCounters::misses, &TierCounters::evictions,
+    &TierCounters::admitted, &TierCounters::admitRejected};
+
+/** Bump the registry's cache.tier{0,1}.* counters (looked up once)
+ *  by one replay's deltas. */
+void
+publish(const Stats &d)
 {
-    telemetry::Counter *hit[2];
-    telemetry::Counter *miss[2];
-    telemetry::Counter *promote[2];
-    telemetry::Counter *demote[2];
-    telemetry::Counter *admitRejected[2];
-
-    static StoreMetrics &
-    instance()
-    {
-        static auto &reg = telemetry::Registry::global();
-        static StoreMetrics m{
-            {&reg.counter("cache.tier0.hit"),
-             &reg.counter("cache.tier1.hit")},
-            {&reg.counter("cache.tier0.miss"),
-             &reg.counter("cache.tier1.miss")},
-            {&reg.counter("cache.tier0.promote"),
-             &reg.counter("cache.tier1.promote")},
-            {&reg.counter("cache.tier0.demote"),
-             &reg.counter("cache.tier1.demote")},
-            {&reg.counter("cache.tier0.admit_rejected"),
-             &reg.counter("cache.tier1.admit_rejected")},
-        };
-        return m;
+    static const char *const kNames[] = {"hit", "miss", "promote",
+                                         "demote", "admit_rejected"};
+    static const auto counters = [] {
+        std::array<std::array<telemetry::Counter *, 5>, 2> c{};
+        for (std::size_t t = 0; t < 2; ++t)
+            for (std::size_t k = 0; k < 5; ++k)
+                c[t][k] = &telemetry::Registry::global().counter(
+                    "cache.tier" + std::to_string(t) + "." + kNames[k]);
+        return c;
+    }();
+    for (std::size_t t = 0; t < 2; ++t) {
+        const std::uint64_t v[] = {d.tier[t].hits, d.tier[t].misses,
+                                   d.promotions, d.demotions,
+                                   d.tier[t].admitRejected};
+        for (std::size_t k = 0; k < 5; ++k)
+            counters[t][k]->add(v[k]);
     }
-};
+}
 
 std::uint64_t
 mix64(std::uint64_t x)
@@ -57,31 +58,61 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** 64-bit hash of a window key (sketch probes derive from it). */
 std::uint64_t
-hashKey(const DecodedWindowKey &k)
+hashGate(const waveform::GateId &g)
 {
-    const std::uint64_t gate =
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(k.gate.type))
-            << 48 |
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(k.gate.q0) & 0xFFFFFFu)
-            << 24 |
-        (static_cast<std::uint32_t>(k.gate.q1) & 0xFFFFFFu);
-    const std::uint64_t win =
-        static_cast<std::uint64_t>(k.channel) << 32 | k.window;
-    return mix64(mix64(gate) ^ win ^ mix64(k.libVersion));
+    const auto bits = [](int v) {
+        return static_cast<std::uint64_t>(v) & 0xFFFFFFu;
+    };
+    return mix64(bits(static_cast<int>(g.type)) << 48 |
+                 bits(g.q0) << 24 | bits(g.q1));
 }
 
-std::size_t
-nextPow2(std::size_t v)
+/** Count-min frequency sketch with periodic halving (TinyLFU aging):
+ *  four probes per key into 4-bit counters, a table ~4x the tracked
+ *  population, all counters halved every ~8 table sizes of adds. */
+struct FrequencySketch
 {
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
+    std::vector<std::uint8_t> counters;
+    std::uint64_t adds = 0;
+    std::uint64_t agingWindow = 0;
+
+    void
+    reset(std::size_t entries)
+    {
+        std::size_t size = 64;
+        while (size < entries * 4 && size < (std::size_t{1} << 20))
+            size <<= 1;
+        counters.assign(size, 0);
+        agingWindow = static_cast<std::uint64_t>(size) * 8;
+    }
+
+    std::uint8_t &
+    at(std::uint64_t hash, std::uint64_t i)
+    {
+        return counters[(hash + i * (hash >> 32 | 1)) &
+                        (counters.size() - 1)];
+    }
+
+    void
+    add(std::uint64_t hash)
+    {
+        for (std::uint64_t i = 0; i < 4; ++i)
+            if (std::uint8_t &c = at(hash, i); c < 15)
+                ++c;
+        if (++adds >= agingWindow) {
+            for (auto &c : counters)
+                c = static_cast<std::uint8_t>(c >> 1);
+            adds >>= 1;
+        }
+    }
+
+    std::uint8_t
+    estimate(std::uint64_t hash)
+    {
+        return std::min({at(hash, 0), at(hash, 1), at(hash, 2), at(hash, 3)});
+    }
+};
 
 } // namespace
 
@@ -91,8 +122,6 @@ admissionPolicyName(AdmissionPolicy p)
     switch (p) {
       case AdmissionPolicy::AdmitAlways:
         return "admit-always";
-      case AdmissionPolicy::SecondTouch:
-        return "admit-second-touch";
       case AdmissionPolicy::TinyLfu:
         return "tinylfu";
     }
@@ -102,33 +131,18 @@ admissionPolicyName(AdmissionPolicy p)
 void
 TieredStoreStats::accumulate(const TieredStoreStats &o)
 {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    prefetches += o.prefetches;
-    prefetchHits += o.prefetchHits;
-    prefetchWasted += o.prefetchWasted;
-    duplicateDecodesAvoided += o.duplicateDecodesAvoided;
-    promotions += o.promotions;
-    demotions += o.demotions;
-    tier1Accesses += o.tier1Accesses;
-    penaltyCycles += o.penaltyCycles;
-    if (o.entries != 0)
-        entries = o.entries;
-    if (o.residentSamples != 0)
-        residentSamples = o.residentSamples;
-    if (o.slotsAllocated != 0)
-        slotsAllocated = o.slotsAllocated;
+    const auto latch = [](std::size_t &to, std::size_t from) {
+        to = from != 0 ? from : to;
+    };
+    for (const auto f : kCounters)
+        this->*f += o.*f;
+    latch(entries, o.entries);
+    latch(residentSamples, o.residentSamples);
     for (std::size_t t = 0; t < tier.size(); ++t) {
-        tier[t].hits += o.tier[t].hits;
-        tier[t].misses += o.tier[t].misses;
-        tier[t].evictions += o.tier[t].evictions;
-        tier[t].admitted += o.tier[t].admitted;
-        tier[t].admitRejected += o.tier[t].admitRejected;
-        if (o.tier[t].entries != 0)
-            tier[t].entries = o.tier[t].entries;
-        if (o.tier[t].residentSamples != 0)
-            tier[t].residentSamples = o.tier[t].residentSamples;
+        for (const auto f : kTierCounters)
+            tier[t].*f += o.tier[t].*f;
+        latch(tier[t].entries, o.tier[t].entries);
+        latch(tier[t].residentSamples, o.tier[t].residentSamples);
     }
 }
 
@@ -136,694 +150,352 @@ TieredStoreStats
 TieredStoreStats::delta(const TieredStoreStats &before,
                         const TieredStoreStats &after)
 {
-    TieredStoreStats d;
-    d.hits = after.hits - before.hits;
-    d.misses = after.misses - before.misses;
-    d.evictions = after.evictions - before.evictions;
-    d.prefetches = after.prefetches - before.prefetches;
-    d.prefetchHits = after.prefetchHits - before.prefetchHits;
-    d.prefetchWasted = after.prefetchWasted - before.prefetchWasted;
-    d.duplicateDecodesAvoided = after.duplicateDecodesAvoided -
-                                before.duplicateDecodesAvoided;
-    d.promotions = after.promotions - before.promotions;
-    d.demotions = after.demotions - before.demotions;
-    d.tier1Accesses = after.tier1Accesses - before.tier1Accesses;
-    d.penaltyCycles = after.penaltyCycles - before.penaltyCycles;
-    d.entries = after.entries;
-    d.residentSamples = after.residentSamples;
-    d.slotsAllocated = after.slotsAllocated;
-    for (std::size_t t = 0; t < d.tier.size(); ++t) {
-        d.tier[t].hits = after.tier[t].hits - before.tier[t].hits;
-        d.tier[t].misses =
-            after.tier[t].misses - before.tier[t].misses;
-        d.tier[t].evictions =
-            after.tier[t].evictions - before.tier[t].evictions;
-        d.tier[t].admitted =
-            after.tier[t].admitted - before.tier[t].admitted;
-        d.tier[t].admitRejected = after.tier[t].admitRejected -
-                                  before.tier[t].admitRejected;
-        d.tier[t].entries = after.tier[t].entries;
-        d.tier[t].residentSamples = after.tier[t].residentSamples;
-    }
+    TieredStoreStats d = after;
+    for (const auto f : kCounters)
+        d.*f -= before.*f;
+    for (std::size_t t = 0; t < d.tier.size(); ++t)
+        for (const auto f : kTierCounters)
+            d.tier[t].*f -= before.tier[t].*f;
     return d;
 }
 
-void
-TieredWindowStore::FrequencySketch::reset(std::size_t entries)
+/**
+ * The model's state and algorithms, run under the owner's mutex.
+ * (gate, library version) maps to a run of per-window nodes, I channel
+ * then Q, so a replayed range costs one hash lookup and then one list
+ * relink per window. A run is freed once none of its windows is
+ * resident, so retired library versions do not grow memory across
+ * hot-swaps.
+ */
+struct TieredWindowStore::Model
 {
-    // Four probes per key into a table ~4x the tracked population
-    // keeps estimates usable at 4-bit saturation; the aging window
-    // (halve all counters) is ~8 table sizes of adds.
-    const std::size_t size = std::min<std::size_t>(
-        nextPow2(std::max<std::size_t>(64, entries * 4)),
-        std::size_t{1} << 20);
-    counters_.assign(size, 0);
-    mask_ = size - 1;
-    adds_ = 0;
-    sampleWindow_ = static_cast<std::uint64_t>(size) * 8;
-}
+    static constexpr std::uint8_t kAbsent = 0xFF;
 
-void
-TieredWindowStore::FrequencySketch::add(std::uint64_t hash)
-{
-    if (counters_.empty())
-        return;
-    const std::uint64_t step = hash >> 32 | 1;
-    for (int i = 0; i < 4; ++i) {
-        std::uint8_t &c =
-            counters_[(hash + static_cast<std::uint64_t>(i) * step) &
-                      mask_];
-        if (c < 15)
-            ++c;
-    }
-    if (++adds_ >= sampleWindow_) {
-        for (auto &c : counters_)
-            c = static_cast<std::uint8_t>(c >> 1);
-        adds_ >>= 1;
-    }
-}
+    struct Run;
 
-std::uint32_t
-TieredWindowStore::FrequencySketch::estimate(std::uint64_t hash) const
-{
-    if (counters_.empty())
-        return 0;
-    const std::uint64_t step = hash >> 32 | 1;
-    std::uint32_t best = 15;
-    for (int i = 0; i < 4; ++i)
-        best = std::min<std::uint32_t>(
-            best,
-            counters_[(hash + static_cast<std::uint64_t>(i) * step) &
-                      mask_]);
-    return best;
-}
+    struct Node
+    {
+        Node *prev = nullptr;
+        Node *next = nullptr;
+        Run *run = nullptr;
+        /** 0, 1, or kAbsent. */
+        std::uint8_t tier = kAbsent;
+        /** Tier-1 only: reuse proven (a prior tier-1 hit, or a
+         *  demotion out of tier 0); the next tier-1 hit promotes. */
+        bool touched = false;
+        /** Inserted by PREFETCH and not yet claimed by demand. */
+        bool prefetched = false;
+    };
 
-TieredWindowStore::TieredWindowStore(const TieredStoreConfig &cfg)
-    : cfg_(cfg)
-{
-    if (cfg_.admission == AdmissionPolicy::SecondTouch) {
-        ghostCapacity_ =
-            cfg_.ghostWindows != 0
-                ? cfg_.ghostWindows
-                : std::clamp<std::size_t>(cfg_.tier0.windows * 4, 64,
-                                          std::size_t{1} << 18);
-        ghostRing_.assign(ghostCapacity_, 0);
-        const std::size_t table = nextPow2(ghostCapacity_ * 2);
-        ghostTable_.assign(table, 0);
-        ghostTableMask_ = table - 1;
-    }
-    if (cfg_.admission == AdmissionPolicy::TinyLfu)
-        sketch_.reset(std::max<std::size_t>(cfg_.tier0.windows, 1));
-}
+    struct RunKey
+    {
+        waveform::GateId gate;
+        std::uint64_t libVersion = 0;
+        bool operator==(const RunKey &) const = default;
+    };
+    struct RunHash
+    {
+        std::uint64_t
+        operator()(const RunKey &k) const noexcept
+        {
+            return hashGate(k.gate) ^ mix64(k.libVersion);
+        }
+    };
 
-TieredWindowStore::Handle
-TieredWindowStore::probeOrLatch(const DecodedWindowKey &key,
-                                bool &leader)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    bool counted = false;
-    if (enabled() && cfg_.admission == AdmissionPolicy::TinyLfu)
-        sketch_.add(hashKey(key));
-    for (;;) {
-        if (enabled()) {
-            const auto it = index_.find(key);
-            if (it != index_.end())
-                return hitLocked(key, it, counted);
-        }
-        if (!counted) {
-            countMissLocked(key);
-            counted = true;
-        }
-        if (!enabled()) {
-            leader = true;
-            return {};
-        }
-        auto [fit, inserted] = inflight_.try_emplace(key);
-        if (inserted) {
-            fit->second = std::make_shared<Inflight>();
-            leader = true;
-            return {};
-        }
-        // Another worker is decoding this key: wait on its latch and
-        // re-probe instead of duplicating the transform. The entry
-        // is usually resident after the wake; when the leader's
-        // decode threw (or its entry was already evicted) the loop
-        // makes this caller the new leader.
-        const auto latch = fit->second;
-        latch->cv.wait(lock, [&] { return latch->done; });
-    }
-}
+    struct Run
+    {
+        RunKey key;
+        std::unique_ptr<Node[]> nodes;
+        std::uint32_t windows = 0;
+        std::uint32_t iWindows = 0;
+        std::uint32_t windowSize = 0;
+        /** Resident windows; the run is freed when this drops to 0. */
+        std::uint32_t resident = 0;
+    };
 
-TieredWindowStore::Handle
-TieredWindowStore::hitLocked(const DecodedWindowKey &key,
-                             Index::iterator it, bool after_wait)
-{
-    const auto lit = it->second;
-    const std::size_t tier = lit->tier;
-    if (after_wait) {
-        ++stats_.duplicateDecodesAvoided;
-    } else {
-        ++stats_.hits;
-        ++stats_.tier[tier].hits;
-        StoreMetrics::instance().hit[tier]->add();
-        if (tier == 1) {
-            // Tier 0 probed first and could not serve.
-            ++stats_.tier[0].misses;
-            StoreMetrics::instance().miss[0]->add();
-        }
+    explicit Model(const TieredStoreConfig &c) : cfg(c)
+    {
+        for (Node &h : head)
+            h.prev = h.next = &h;
+        if (cfg.admission == AdmissionPolicy::TinyLfu)
+            sketch.reset(std::max<std::size_t>(cfg.tier0.windows, 1));
     }
-    if (tier == 1) {
-        chargeTier1Locked();
-        if (lit->touched && cfg_.tier0.windows > 0) {
-            promoteLocked(lit);
+
+    /** Apply one event; returns 1 for a cold prefetch insert. */
+    std::uint64_t
+    apply(const WindowEvent &e)
+    {
+        if (cfg.tier0.windows + cfg.tier1.windows == 0) {
+            // Disabled: demand misses, prefetches have nowhere to go.
+            stats.misses += e.prefetch ? 0 : e.count;
+            return 0;
+        }
+        const RunKey key{e.gate, e.libVersion};
+        auto [it, fresh] = runs.try_emplace(key);
+        Run &run = it->second;
+        if (fresh) {
+            run = {key, std::make_unique<Node[]>(e.windows), e.windows,
+                   e.iWindows, e.windowSize};
+            for (std::uint32_t w = 0; w < run.windows; ++w)
+                run.nodes[w].run = &run;
+        }
+        COMPAQT_REQUIRE(e.count > 0 && e.first + e.count <= e.windows &&
+                            run.windows == e.windows &&
+                            run.iWindows == e.iWindows,
+                        "window event outside its gate's window grid");
+        current = &run;
+        std::uint64_t inserted = 0;
+        if (e.prefetch)
+            inserted = prefetch(run.nodes[e.first], e.tier) ? 1 : 0;
+        else
+            for (std::uint32_t w = e.first; w < e.first + e.count; ++w)
+                probe(run.nodes[w]);
+        current = nullptr;
+        if (run.resident == 0)
+            runs.erase(it);
+        return inserted;
+    }
+
+    void
+    probe(Node &n)
+    {
+        if (cfg.admission == AdmissionPolicy::TinyLfu)
+            sketch.add(hashWindow(n));
+        if (n.tier == kAbsent) {
+            ++stats.misses;
+            stats.tier[0].misses += cfg.tier0.windows > 0 ? 1 : 0;
+            stats.tier[1].misses += cfg.tier1.windows > 0 ? 1 : 0;
+            const std::uint8_t tier = admissionTier(n);
+            if (tier != kAbsent)
+                insert(n, tier);
+            return;
+        }
+        ++stats.hits;
+        ++stats.tier[n.tier].hits;
+        // The first demand touch of a prefetched window claims it.
+        stats.prefetchHits += n.prefetched ? 1 : 0;
+        n.prefetched = false;
+        if (n.tier == 0) {
+            move(n, 0);
+            return;
+        }
+        // Tier 0 probed first and could not serve.
+        ++stats.tier[0].misses;
+        chargeTier1();
+        if (n.touched && cfg.tier0.windows > 0) {
+            promote(n);
         } else {
             // First tier-1 touch: mark reuse, promote on the next.
-            lit->touched = true;
-            lru_[1].splice(lru_[1].begin(), lru_[1], lit);
+            n.touched = true;
+            move(n, 1);
         }
-    } else {
-        lru_[0].splice(lru_[0].begin(), lru_[0], lit);
     }
-    Slot *slot = lit->slot;
-    if (slot->prefetched) {
-        // First demand touch of a prefetched window: the prefetch
-        // paid off.
-        slot->prefetched = false;
-        ++stats_.prefetchHits;
-        COMPAQT_TRACE_INSTANT("cache", "cache.prefetch_claimed",
-                              "window", key.window, "channel",
-                              key.channel);
-    }
-    slot->refs.fetch_add(1, std::memory_order_relaxed);
-    // Hits are the per-window hot path: unsampled they dominate both
-    // the trace and its overhead budget (observed >5x the cost of
-    // every other event combined), so the trace carries 1-in-64 of
-    // them as activity markers. Exact hit rates come from
-    // stats().hits, which counts every hit.
-    if (auto &trace = telemetry::Trace::global(); trace.enabled()) {
-        thread_local std::uint32_t hit_tick = 0;
-        if ((hit_tick++ & 63u) == 0)
-            trace.instant("cache", "cache.hit", "window", key.window,
-                          "channel", key.channel);
-    }
-    return Handle(this, slot);
-}
 
-void
-TieredWindowStore::countMissLocked(const DecodedWindowKey &key)
-{
-    ++stats_.misses;
-    auto &metrics = StoreMetrics::instance();
-    if (cfg_.tier0.windows > 0) {
-        ++stats_.tier[0].misses;
-        metrics.miss[0]->add();
-    }
-    if (cfg_.tier1.windows > 0) {
-        ++stats_.tier[1].misses;
-        metrics.miss[1]->add();
-    }
-    COMPAQT_TRACE_INSTANT("cache", "cache.miss", "window", key.window,
-                          "channel", key.channel);
-}
-
-TieredWindowStore::Handle
-TieredWindowStore::lookup(const DecodedWindowKey &key)
-{
-    std::lock_guard lock(mu_);
-    if (enabled()) {
-        if (cfg_.admission == AdmissionPolicy::TinyLfu)
-            sketch_.add(hashKey(key));
-        const auto it = index_.find(key);
-        if (it != index_.end())
-            return hitLocked(key, it, /*after_wait=*/false);
-    }
-    countMissLocked(key);
-    return {};
-}
-
-bool
-TieredWindowStore::touchResident(const DecodedWindowKey &key,
-                                 std::uint8_t target_tier)
-{
-    std::lock_guard lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end())
-        return inflight_.contains(key);
-    const auto lit = it->second;
-    if (lit->tier == 1) {
-        if (target_tier == 0 && cfg_.tier0.windows > 0) {
-            // The compiler saw a short reuse distance: pull the
-            // staged window into the fast tier ahead of its PLAY.
-            chargeTier1Locked();
-            promoteLocked(lit);
-        } else {
-            lru_[1].splice(lru_[1].begin(), lru_[1], lit);
+    /** PREFETCH of one window; true when it inserted a cold one. */
+    bool
+    prefetch(Node &n, std::uint8_t hint)
+    {
+        if (n.tier == 1 && hint == 0 && cfg.tier0.windows > 0) {
+            // The compiler saw a short reuse distance: pull the staged
+            // window into the fast tier ahead of its PLAY.
+            chargeTier1();
+            promote(n);
+            return false;
         }
-    } else {
-        lru_[0].splice(lru_[0].begin(), lru_[0], lit);
-    }
-    return true;
-}
-
-TieredWindowStore::Slot *
-TieredWindowStore::acquireSlot(std::size_t window_size)
-{
-    COMPAQT_REQUIRE(window_size > 0,
-                    "decoded-window slot needs a positive size");
-    // Slab allocation happens outside the lock (the same rule decode
-    // work follows): carve under the lock, and when the bucket is
-    // dry, release the lock, allocate, re-lock, and install — a slab
-    // another thread installed meanwhile just gets used first and
-    // ours joins the bucket's region list.
-    std::unique_ptr<double[]> fresh;
-    std::size_t fresh_windows = 0;
-    for (;;) {
-        {
-            std::lock_guard lock(mu_);
-            Bucket &bucket = buckets_[window_size];
-            if (!bucket.freeSlots.empty()) {
-                Slot *slot = bucket.freeSlots.back();
-                bucket.freeSlots.pop_back();
-                slot->pooled = false;
-                slot->detached = true;
-                slot->size = 0;
-                slot->prefetched = false;
-                // The in-flight decode holds a reference from here
-                // on, so a stale releaseSlot (one that decremented
-                // to zero before an evictor pooled this slot) can
-                // never re-pool it under the new owner.
-                slot->refs.store(1, std::memory_order_relaxed);
-                return slot;
-            }
-            if (fresh) {
-                bucket.regions.emplace_back(
-                    fresh.get(),
-                    fresh.get() + fresh_windows * window_size);
-                slabs_.push_back(std::move(fresh));
-            }
-            while (!bucket.regions.empty()) {
-                auto &region = bucket.regions.back();
-                if (region.first == region.second) {
-                    bucket.regions.pop_back();
-                    continue;
-                }
-                Slot &slot = slots_.emplace_back();
-                slot.data = region.first;
-                region.first += window_size;
-                slot.bucket = window_size;
-                slot.refs.store(1, std::memory_order_relaxed);
-                ++stats_.slotsAllocated;
-                return &slot;
-            }
-            // Grow: a small first slab (buckets holding a single
-            // whole-waveform window stay small), kWindowsPerSlab
-            // afterwards, never far past the configured capacity.
-            fresh_windows = std::min(
-                bucket.nextSlabWindows,
-                std::max<std::size_t>(capacity(), 1) + 1);
-            bucket.nextSlabWindows = kWindowsPerSlab;
+        if (n.tier != kAbsent) {
+            move(n, n.tier);
+            return false;
         }
-        fresh =
-            std::make_unique<double[]>(fresh_windows * window_size);
+        // A hint for a disabled tier falls back to the enabled one.
+        ++stats.prefetches;
+        n.prefetched = true;
+        insert(n, cfg.tier1.windows == 0   ? 0
+                  : cfg.tier0.windows == 0 ? 1
+                                           : hint);
+        return true;
     }
-}
 
-std::uint8_t
-TieredWindowStore::admissionTierLocked(const DecodedWindowKey &key)
-{
-    if (cfg_.tier0.windows == 0)
-        return 1; // tier-1-only store
-    std::uint8_t denied_to = kBypassTier;
-    switch (cfg_.admission) {
-      case AdmissionPolicy::AdmitAlways:
-        return 0;
-      case AdmissionPolicy::SecondTouch:
-        if (ghostEraseLocked(key))
-            return 0; // reuse proven while the ghost remembered it
-        recordGhostLocked(key);
-        denied_to = cfg_.tier1.windows > 0 ? 1 : kBypassTier;
-        break;
-      case AdmissionPolicy::TinyLfu: {
-        const TierConfig &t0 = cfg_.tier0;
-        const bool full =
-            lru_[0].size() >= t0.windows ||
-            (t0.sampleBudget > 0 &&
-             residentSamples_[0] >= t0.sampleBudget);
-        if (!full || lru_[0].empty())
+    /** Demand placement: 0, 1, or kAbsent (counts admitRejected). */
+    std::uint8_t
+    admissionTier(const Node &n)
+    {
+        if (cfg.tier0.windows == 0)
+            return 1; // tier-1-only model
+        if (cfg.admission == AdmissionPolicy::AdmitAlways)
             return 0;
+        const TierCounters &t0 = stats.tier[0];
+        const bool full = t0.entries >= cfg.tier0.windows ||
+                          (cfg.tier0.sampleBudget > 0 &&
+                           t0.residentSamples >= cfg.tier0.sampleBudget);
         // Challenge the LRU victim: the candidate displaces it only
         // when the sketch says it is touched more often.
-        if (sketch_.estimate(hashKey(key)) >
-            sketch_.estimate(hashKey(lru_[0].back().key)))
+        if (!full || t0.entries == 0 ||
+            sketch.estimate(hashWindow(n)) >
+                sketch.estimate(hashWindow(*head[0].prev)))
             return 0;
-        denied_to = cfg_.tier1.windows > 0 ? 1 : kBypassTier;
-        break;
-      }
+        ++stats.tier[0].admitRejected;
+        return cfg.tier1.windows > 0 ? 1 : kAbsent;
     }
-    ++stats_.tier[0].admitRejected;
-    StoreMetrics::instance().admitRejected[0]->add();
-    return denied_to;
-}
 
-TieredWindowStore::Handle
-TieredWindowStore::insert(const DecodedWindowKey &key, Slot *slot,
-                          bool prefetched, std::uint8_t target_tier)
-{
-    // The slot arrives holding one reference (taken in acquireSlot),
-    // which becomes the returned Handle's reference.
-    if (!enabled()) {
-        // Disabled store: hand the decoded slot straight back; the
-        // final Handle release recycles it into the pool.
-        return Handle(this, slot);
+    /** Link `n` at the MRU end of `tier`. */
+    void
+    link(Node &n, std::uint8_t tier)
+    {
+        Node &h = head[tier];
+        n.next = h.next;
+        n.prev = &h;
+        h.next->prev = &n;
+        h.next = &n;
     }
-    std::lock_guard lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-        // Lost a decode race; keep the resident entry, pool ours.
-        const auto lit = it->second;
-        lru_[lit->tier].splice(lru_[lit->tier].begin(),
-                               lru_[lit->tier], lit);
-        Slot *resident = lit->slot;
-        resident->refs.fetch_add(1, std::memory_order_relaxed);
-        slot->refs.store(0, std::memory_order_relaxed);
-        recycleLocked(slot);
-        resolveLatchLocked(key);
-        return Handle(this, resident);
-    }
-    std::uint8_t tier;
-    if (prefetched) {
-        tier = target_tier;
-        // A hint for a disabled tier falls back to the enabled one.
-        if (tier == 1 && cfg_.tier1.windows == 0)
-            tier = 0;
-        if (tier == 0 && cfg_.tier0.windows == 0)
-            tier = 1;
-    } else {
-        tier = admissionTierLocked(key);
-    }
-    if (tier == kBypassTier) {
-        // Admitted nowhere: serve the decode straight to the caller
-        // (its slot recycles on final release), cache nothing.
-        resolveLatchLocked(key);
-        return Handle(this, slot);
-    }
-    slot->detached = false;
-    if (prefetched) {
-        slot->prefetched = true;
-        ++stats_.prefetches;
-    }
-    LruList &list = lru_[tier];
-    if (!spares_.empty()) {
-        spares_.front() = Entry{key, slot, tier, false};
-        list.splice(list.begin(), spares_, spares_.begin());
-    } else {
-        list.push_front(Entry{key, slot, tier, false});
-    }
-    if (!spareNodes_.empty()) {
-        auto nh = std::move(spareNodes_.back());
-        spareNodes_.pop_back();
-        nh.key() = key;
-        nh.mapped() = list.begin();
-        index_.insert(std::move(nh));
-    } else {
-        index_.emplace(key, list.begin());
-    }
-    residentSamples_[tier] += slot->bucket;
-    ++stats_.tier[tier].admitted;
-    if (tier == 1)
-        chargeTier1Locked();
-    evictTierLocked(tier);
-    resolveLatchLocked(key);
-    return Handle(this, slot);
-}
 
-TieredWindowStore::Handle
-TieredWindowStore::put(const DecodedWindowKey &key,
-                       ConstSampleSpan samples,
-                       std::size_t window_size)
-{
-    COMPAQT_REQUIRE(samples.size() <= window_size,
-                    "decoded window larger than its slot");
-    Slot *slot = acquireSlot(window_size);
-    std::copy(samples.begin(), samples.end(), slot->data);
-    slot->size = samples.size();
-    return insert(key, slot);
-}
-
-void
-TieredWindowStore::promoteLocked(LruList::iterator lit)
-{
-    Entry &e = *lit;
-    residentSamples_[1] -= e.slot->bucket;
-    residentSamples_[0] += e.slot->bucket;
-    lru_[0].splice(lru_[0].begin(), lru_[1], lit);
-    e.tier = 0;
-    e.touched = false;
-    ++stats_.promotions;
-    auto &metrics = StoreMetrics::instance();
-    metrics.promote[0]->add();
-    metrics.promote[1]->add();
-    COMPAQT_TRACE_INSTANT("cache", "store.promote", "window",
-                          e.key.window, "channel", e.key.channel);
-    evictTierLocked(0);
-}
-
-void
-TieredWindowStore::evictTierLocked(std::size_t tier)
-{
-    const TierConfig &tc = tier == 0 ? cfg_.tier0 : cfg_.tier1;
-    // The sample budget never evicts the just-touched MRU entry: one
-    // oversized window may exceed the whole budget on its own and
-    // must still be servable while resident.
-    while (lru_[tier].size() > tc.windows ||
-           (tc.sampleBudget > 0 &&
-            residentSamples_[tier] > tc.sampleBudget &&
-            lru_[tier].size() > 1)) {
-        const auto lit = std::prev(lru_[tier].end());
-        if (tier == 0 && cfg_.tier1.windows > 0)
-            demoteLocked(lit);
-        else
-            dropLocked(tier, lit);
+    void
+    insert(Node &n, std::uint8_t tier)
+    {
+        link(n, tier);
+        n.tier = tier;
+        n.touched = false;
+        ++stats.entries;
+        ++stats.tier[tier].entries;
+        stats.residentSamples += n.run->windowSize;
+        stats.tier[tier].residentSamples += n.run->windowSize;
+        ++n.run->resident;
+        ++stats.tier[tier].admitted;
+        if (tier == 1)
+            chargeTier1();
+        evict(tier);
     }
-}
 
-void
-TieredWindowStore::demoteLocked(LruList::iterator lit)
-{
-    Entry &e = *lit;
-    residentSamples_[0] -= e.slot->bucket;
-    residentSamples_[1] += e.slot->bucket;
-    lru_[1].splice(lru_[1].begin(), lru_[0], lit);
-    e.tier = 1;
-    // A demoted window already proved reuse in tier 0; its next
-    // tier-1 hit promotes it straight back.
-    e.touched = true;
-    ++stats_.demotions;
-    chargeTier1Locked();
-    auto &metrics = StoreMetrics::instance();
-    metrics.demote[0]->add();
-    metrics.demote[1]->add();
-    COMPAQT_TRACE_INSTANT("cache", "store.demote", "window",
-                          e.key.window, "channel", e.key.channel);
-    evictTierLocked(1);
-}
-
-void
-TieredWindowStore::dropLocked(std::size_t tier, LruList::iterator lit)
-{
-    Entry &e = *lit;
-    COMPAQT_TRACE_INSTANT("cache", "cache.evict", "window",
-                          e.key.window, "channel", e.key.channel);
-    spareNodes_.push_back(index_.extract(e.key));
-    residentSamples_[tier] -= e.slot->bucket;
-    detachLocked(e.slot);
-    // A dropped key that comes back soon has proven reuse; let the
-    // ghost remember it so SecondTouch re-admits it to tier 0.
-    recordGhostLocked(e.key);
-    spares_.splice(spares_.begin(), lru_[tier], lit);
-    ++stats_.evictions;
-    ++stats_.tier[tier].evictions;
-}
-
-void
-TieredWindowStore::recordGhostLocked(const DecodedWindowKey &key)
-{
-    if (ghostCapacity_ == 0)
-        return;
-    std::uint64_t h = hashKey(key);
-    if (h == 0)
-        h = 1; // 0 is the empty-slot sentinel
-    if (!ghostTableInsert(h))
-        return; // already remembered
-    // Overwrite the oldest ring slot, retiring its hash.
-    if (ghostRing_[ghostHead_] != 0)
-        ghostTableErase(ghostRing_[ghostHead_]);
-    ghostRing_[ghostHead_] = h;
-    ghostHead_ = (ghostHead_ + 1) % ghostCapacity_;
-}
-
-bool
-TieredWindowStore::ghostEraseLocked(const DecodedWindowKey &key)
-{
-    if (ghostCapacity_ == 0)
-        return false;
-    std::uint64_t h = hashKey(key);
-    if (h == 0)
-        h = 1;
-    // The ring slot keeps the stale hash; its eventual overwrite
-    // erases an absent key, which ghostTableErase tolerates.
-    return ghostTableErase(h);
-}
-
-bool
-TieredWindowStore::ghostTableInsert(std::uint64_t h)
-{
-    std::uint64_t i = h & ghostTableMask_;
-    while (ghostTable_[i] != 0) {
-        if (ghostTable_[i] == h)
-            return false;
-        i = (i + 1) & ghostTableMask_;
-    }
-    ghostTable_[i] = h;
-    return true;
-}
-
-bool
-TieredWindowStore::ghostTableErase(std::uint64_t h)
-{
-    std::uint64_t i = h & ghostTableMask_;
-    while (ghostTable_[i] != h) {
-        if (ghostTable_[i] == 0)
-            return false;
-        i = (i + 1) & ghostTableMask_;
-    }
-    // Backshift deletion: walk the probe chain and pull back any
-    // entry whose ideal slot lies outside (i, j], keeping every
-    // remaining chain unbroken without tombstones.
-    ghostTable_[i] = 0;
-    std::uint64_t j = i;
-    for (;;) {
-        j = (j + 1) & ghostTableMask_;
-        const std::uint64_t v = ghostTable_[j];
-        if (v == 0)
-            return true;
-        const std::uint64_t ideal = v & ghostTableMask_;
-        const bool movable =
-            i <= j ? ideal <= i || ideal > j
-                   : ideal <= i && ideal > j;
-        if (movable) {
-            ghostTable_[i] = v;
-            ghostTable_[j] = 0;
-            i = j;
+    /** Move a resident node to the MRU end of `tier`. */
+    void
+    move(Node &n, std::uint8_t tier)
+    {
+        n.prev->next = n.next;
+        n.next->prev = n.prev;
+        link(n, tier);
+        if (n.tier != tier) {
+            --stats.tier[n.tier].entries;
+            stats.tier[n.tier].residentSamples -= n.run->windowSize;
+            ++stats.tier[tier].entries;
+            stats.tier[tier].residentSamples += n.run->windowSize;
+            n.tier = tier;
         }
     }
-}
 
-void
-TieredWindowStore::resolveLatchLocked(const DecodedWindowKey &key)
-{
-    const auto it = inflight_.find(key);
-    if (it == inflight_.end())
-        return;
-    it->second->done = true;
-    it->second->cv.notify_all();
-    inflight_.erase(it);
-}
-
-void
-TieredWindowStore::abortFill(const DecodedWindowKey &key)
-{
-    if (!enabled())
-        return;
-    std::lock_guard lock(mu_);
-    resolveLatchLocked(key);
-}
-
-void
-TieredWindowStore::chargeTier1Locked()
-{
-    ++stats_.tier1Accesses;
-    stats_.penaltyCycles += cfg_.tier1PenaltyCycles;
-}
-
-void
-TieredWindowStore::detachLocked(Slot *slot)
-{
-    if (slot->prefetched) {
-        // Evicted (or cleared) before any demand get() claimed it:
-        // the prefetch was wasted work.
-        slot->prefetched = false;
-        ++stats_.prefetchWasted;
-        COMPAQT_TRACE_INSTANT("cache", "cache.prefetch_wasted",
-                              "slot_bytes",
-                              slot->bucket * sizeof(double));
+    void
+    promote(Node &n)
+    {
+        move(n, 0);
+        n.touched = false;
+        ++stats.promotions;
+        evict(0);
     }
-    slot->detached = true;
-    if (slot->refs.load(std::memory_order_acquire) == 0)
-        recycleLocked(slot);
+
+    /** Evict `tier` down to its budgets: tier 0 demotes into tier 1
+     *  when one exists (dropping otherwise), tier 1 drops. */
+    void
+    evict(std::uint8_t tier)
+    {
+        const TierConfig &tc = tier == 0 ? cfg.tier0 : cfg.tier1;
+        const TierCounters &t = stats.tier[tier];
+        // The sample budget never evicts the just-touched MRU entry:
+        // one oversized window may exceed the whole budget on its own
+        // and must still be servable while resident.
+        while (t.entries > tc.windows ||
+               (tc.sampleBudget > 0 && t.residentSamples > tc.sampleBudget &&
+                t.entries > 1)) {
+            Node &victim = *head[tier].prev;
+            if (tier == 1 || cfg.tier1.windows == 0) {
+                drop(victim);
+                continue;
+            }
+            move(victim, 1);
+            // A demoted window already proved reuse in tier 0; its next
+            // tier-1 hit promotes it straight back.
+            victim.touched = true;
+            ++stats.demotions;
+            chargeTier1();
+            evict(1);
+        }
+    }
+
+    void
+    drop(Node &n)
+    {
+        Run &run = *n.run;
+        n.prev->next = n.next;
+        n.next->prev = n.prev;
+        n.prev = n.next = nullptr;
+        TierCounters &t = stats.tier[n.tier];
+        --stats.entries;
+        --t.entries;
+        stats.residentSamples -= run.windowSize;
+        t.residentSamples -= run.windowSize;
+        ++stats.evictions;
+        ++t.evictions;
+        n.tier = kAbsent;
+        stats.prefetchWasted += n.prefetched ? 1 : 0;
+        n.prefetched = false;
+        if (--run.resident == 0 && &run != current)
+            runs.erase(run.key);
+    }
+
+    void chargeTier1() { stats.penaltyCycles += cfg.tier1PenaltyCycles; }
+
+    /** The sketch key: the run's hash extended by (channel, window). */
+    static std::uint64_t
+    hashWindow(const Node &n)
+    {
+        const Run &run = *n.run;
+        const auto index =
+            static_cast<std::uint32_t>(&n - run.nodes.get());
+        const std::uint64_t q = index >= run.iWindows ? 1 : 0;
+        return mix64(RunHash{}(run.key) ^
+                     (q << 32 | (index - q * run.iWindows)));
+    }
+
+    const TieredStoreConfig &cfg;
+    /** Per-tier circular LRU lists through sentinels: next = MRU side,
+     *  prev = LRU side. */
+    std::array<Node, 2> head;
+    std::unordered_map<RunKey, Run, RunHash> runs;
+    /** The run the event being applied plays; never freed mid-event. */
+    const Run *current = nullptr;
+    FrequencySketch sketch;
+    Stats stats;
+};
+
+TieredWindowStore::TieredWindowStore(const TieredStoreConfig &cfg)
+    : cfg_(cfg), model_(std::make_unique<Model>(cfg_))
+{
 }
 
-void
-TieredWindowStore::recycleLocked(Slot *slot)
-{
-    slot->pooled = true;
-    buckets_[slot->bucket].freeSlots.push_back(slot);
-}
+TieredWindowStore::~TieredWindowStore() = default;
 
-void
-TieredWindowStore::releaseSlot(Slot *slot)
+TieredStoreStats
+TieredWindowStore::replay(std::span<const WindowEventLog> logs,
+                          std::span<std::uint64_t> prefetches_inserted)
 {
-    if (slot->refs.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    // Dropped the last reference: if the slot was evicted (or never
-    // inserted) it is ours to pool. A re-check under the lock guards
-    // the race with an evictor that pooled it between our decrement
-    // and here.
+    COMPAQT_REQUIRE(prefetches_inserted.size() == logs.size(),
+                    "one prefetch tally per replayed log");
+    COMPAQT_TRACE_SPAN("cache", "cache.replay", "logs", logs.size());
     std::lock_guard lock(mu_);
-    if (slot->detached && !slot->pooled &&
-        slot->refs.load(std::memory_order_relaxed) == 0)
-        recycleLocked(slot);
-}
-
-void
-TieredWindowStore::Handle::release()
-{
-    if (!slot_)
-        return;
-    store_->releaseSlot(slot_);
-    store_ = nullptr;
-    slot_ = nullptr;
+    const Stats before = model_->stats;
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+        std::uint64_t inserted = 0;
+        for (const WindowEvent &e : logs[i])
+            inserted += model_->apply(e);
+        prefetches_inserted[i] = inserted;
+    }
+    const Stats d = Stats::delta(before, model_->stats);
+    publish(d);
+    return d;
 }
 
 TieredStoreStats
 TieredWindowStore::stats() const
 {
     std::lock_guard lock(mu_);
-    TieredStoreStats s = stats_;
-    s.entries = lru_[0].size() + lru_[1].size();
-    s.residentSamples = residentSamples_[0] + residentSamples_[1];
-    for (std::size_t t = 0; t < 2; ++t) {
-        s.tier[t].entries = lru_[t].size();
-        s.tier[t].residentSamples = residentSamples_[t];
-    }
-    return s;
-}
-
-void
-TieredWindowStore::clear()
-{
-    std::lock_guard lock(mu_);
-    for (auto &list : lru_) {
-        for (auto &entry : list) {
-            spareNodes_.push_back(index_.extract(entry.key));
-            detachLocked(entry.slot);
-        }
-        spares_.splice(spares_.begin(), list);
-    }
-    residentSamples_ = {0, 0};
-    std::fill(ghostRing_.begin(), ghostRing_.end(), 0);
-    std::fill(ghostTable_.begin(), ghostTable_.end(), 0);
-    ghostHead_ = 0;
+    return model_->stats;
 }
 
 } // namespace compaqt::runtime

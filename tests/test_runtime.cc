@@ -1,20 +1,21 @@
 /**
  * @file
  * Tests for the sharded control-rack runtime: shard-plan determinism
- * and locality, schedule partitioning, the decoded-window cache (LRU
- * behavior and bit-exactness against the golden software decoder),
- * the worker pool, and the headline concurrency contract — N-worker
- * batch execution produces bit-identical per-shard demand to 1-worker
- * execution.
+ * and locality, schedule partitioning, the keys-only waveform-memory
+ * model (LRU order, tiers, admission, prefetch accounting), the worker
+ * pool, and the headline concurrency contract — N-worker batch
+ * execution produces bit-identical per-shard demand and model counters
+ * to 1-worker execution.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/scheduler.hh"
@@ -170,151 +171,108 @@ TEST(Partition, PreservesGlobalStartTimes)
     }
 }
 
-// ------------------------------------------------------------- LRU cache
+// ------------------------------------------------- waveform-memory model
 
-DecodedWindowKey
-key(int q, std::uint32_t w)
+/** A demand PLAY of windows [first, first + count) of qubit q's X
+ *  pulse: 32 I-channel then 32 Q-channel windows of `ws` samples. */
+WindowEvent
+play(int q, std::uint32_t first, std::uint32_t count = 1,
+     std::uint32_t ws = 8, std::uint64_t version = 0)
 {
-    return {waveform::GateId{waveform::GateType::X, q, -1}, 0, w};
+    return {waveform::GateId{waveform::GateType::X, q, -1},
+            false,
+            0,
+            first,
+            count,
+            32,
+            64,
+            ws,
+            version};
+}
+
+/** A PREFETCH of window `w` of the same channel with tier hint
+ *  `tier`. */
+WindowEvent
+prefetch(int q, std::uint32_t w, std::uint8_t tier = 0)
+{
+    WindowEvent e = play(q, w);
+    e.prefetch = true;
+    e.tier = tier;
+    return e;
+}
+
+/** A single-tier admit-always model of `windows` windows. */
+TieredStoreConfig
+flat(std::size_t windows)
+{
+    TieredStoreConfig cfg;
+    cfg.tier0 = {windows, 0};
+    return cfg;
+}
+
+/** Replay one log; returns the replay's own counters and, through
+ *  `inserted`, the cold prefetches it made. */
+TieredStoreStats
+replayLog(TieredWindowStore &model, WindowEventLog log,
+          std::uint64_t *inserted = nullptr)
+{
+    const std::vector<WindowEventLog> logs{std::move(log)};
+    std::vector<std::uint64_t> cold(1, 0);
+    const auto d = model.replay(logs, cold);
+    if (inserted)
+        *inserted = cold[0];
+    return d;
 }
 
 TEST(DecodedCache, LruEvictionOrder)
 {
-    DecodedWindowCache cache(2);
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 1.0;
-        return 1;
-    };
-    cache.get(key(0, 0), 1, fill); // miss
-    cache.get(key(1, 0), 1, fill); // miss
-    cache.get(key(0, 0), 1, fill); // hit, qubit 0 becomes MRU
-    cache.get(key(2, 0), 1, fill); // miss, evicts qubit 1 (LRU)
-    cache.get(key(0, 0), 1, fill); // still resident: hit
-    cache.get(key(1, 0), 1, fill); // evicted above: miss again
-
-    const auto s = cache.stats();
+    TieredWindowStore model(flat(2));
+    replayLog(model, {play(0, 0),   // miss
+                      play(1, 0),   // miss
+                      play(0, 0),   // hit, qubit 0 becomes MRU
+                      play(2, 0),   // miss, evicts qubit 1 (LRU)
+                      play(0, 0),   // still resident: hit
+                      play(1, 0)}); // evicted above: miss again
+    const auto s = model.stats();
     EXPECT_EQ(s.hits, 2u);
     EXPECT_EQ(s.misses, 4u);
     EXPECT_EQ(s.evictions, 2u);
     EXPECT_EQ(s.entries, 2u);
-    EXPECT_EQ(decodes, 4);
     EXPECT_NEAR(s.hitRate(), 2.0 / 6.0, 1e-12);
 }
 
 TEST(DecodedCache, CapacityZeroDisablesCaching)
 {
-    DecodedWindowCache cache(0);
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 1.0;
-        out[1] = 2.0;
-        return 2;
-    };
-    for (int i = 0; i < 3; ++i) {
-        const auto v = cache.get(key(0, 0), 2, fill);
-        ASSERT_EQ(v.size(), 2u);
-        EXPECT_EQ(v.samples()[1], 2.0);
-    }
-    const auto s = cache.stats();
-    EXPECT_EQ(decodes, 3);
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.misses, 3u);
-    EXPECT_EQ(s.entries, 0u);
-}
-
-TEST(DecodedCache, EvictedValueStaysAliveForHolder)
-{
-    DecodedWindowCache cache(1);
-    auto a = cache.get(key(0, 0), 1, [](SampleSpan out) {
-        out[0] = 7.0;
-        return std::size_t{1};
-    });
-    cache.get(key(1, 0), 1, [](SampleSpan out) {
-        out[0] = 8.0;
-        return std::size_t{1};
-    });
-    ASSERT_EQ(a.size(), 1u);
-    EXPECT_EQ(a.samples()[0], 7.0); // still valid after eviction
-}
-
-TEST(DecodedCache, ReleasedSlotsRecycleThroughTheSlabPool)
-{
-    // A cache under LRU churn reuses pooled slots instead of
-    // allocating one per miss: with capacity 1 and no held handles,
-    // any number of distinct keys needs at most two slots (the
-    // resident window plus the one being decoded).
-    DecodedWindowCache cache(1);
-    for (int q = 0; q < 32; ++q)
-        cache.get(key(q, 0), 8, [](SampleSpan out) {
-            out[0] = 1.0;
-            return std::size_t{1};
-        });
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, 32u);
-    EXPECT_LE(s.slotsAllocated, 2u);
-
-    // Holding a handle across eviction pins exactly one extra slot.
-    auto held = cache.get(key(100, 0), 8, [](SampleSpan out) {
-        out[0] = 5.0;
-        return std::size_t{1};
-    });
-    for (int q = 0; q < 16; ++q)
-        cache.get(key(q, 1), 8, [](SampleSpan out) {
-            out[0] = 2.0;
-            return std::size_t{1};
-        });
-    EXPECT_EQ(held.samples()[0], 5.0);
-    EXPECT_LE(cache.stats().slotsAllocated, 3u);
-}
-
-TEST(DecodedCache, DecodeExceptionReturnsSlotToPool)
-{
-    // A throwing decode (corrupt channel, non-windowed codec) must
-    // not drain the slab pool: the acquired slot goes back before
-    // the exception escapes.
-    DecodedWindowCache cache(4);
-    for (int i = 0; i < 8; ++i) {
-        EXPECT_THROW(
-            cache.get(key(0, 0), 8,
-                      [](SampleSpan) -> std::size_t {
-                          throw std::runtime_error("bad gate");
-                      }),
-            std::runtime_error);
-    }
-    const auto s = cache.stats();
-    EXPECT_LE(s.slotsAllocated, 1u);
-    EXPECT_EQ(s.entries, 0u);
+    TieredWindowStore model(flat(0));
+    std::uint64_t inserted = 1;
+    const auto d = replayLog(
+        model, {play(0, 0), play(0, 0), prefetch(0, 1), play(0, 0)},
+        &inserted);
+    // Nothing is ever resident: every demand window misses and the
+    // prefetch has nowhere to go.
+    EXPECT_EQ(d.hits, 0u);
+    EXPECT_EQ(d.misses, 3u);
+    EXPECT_EQ(d.prefetches, 0u);
+    EXPECT_EQ(inserted, 0u);
+    EXPECT_EQ(model.stats().entries, 0u);
 }
 
 TEST(DecodedCache, PrefetchCountersTrackClaims)
 {
-    DecodedWindowCache cache(2);
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 3.0;
-        return 1;
-    };
-    // Cold prefetch: decodes, inserts, pins — and touches neither
-    // demand counter.
-    const auto pin = cache.prefetch(key(0, 0), 1, fill);
-    ASSERT_TRUE(pin);
-    EXPECT_EQ(decodes, 1);
-    auto s = cache.stats();
+    TieredWindowStore model(flat(2));
+    // Cold prefetch: inserted — and touches neither demand counter.
+    std::uint64_t inserted = 0;
+    replayLog(model, {prefetch(0, 0)}, &inserted);
+    EXPECT_EQ(inserted, 1u);
+    auto s = model.stats();
     EXPECT_EQ(s.prefetches, 1u);
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.hits + s.misses, 0u);
 
-    // First demand get claims it: a hit (no decode) plus exactly one
-    // prefetchHit; later gets are plain hits.
-    const auto v = cache.get(key(0, 0), 1, fill);
-    EXPECT_EQ(decodes, 1);
-    EXPECT_EQ(v.samples()[0], 3.0);
-    cache.get(key(0, 0), 1, fill);
-    s = cache.stats();
+    // The first demand probe claims it: a hit plus exactly one
+    // prefetchHit; later probes are plain hits.
+    replayLog(model, {play(0, 0), play(0, 0)});
+    s = model.stats();
     EXPECT_EQ(s.hits, 2u);
     EXPECT_EQ(s.prefetchHits, 1u);
     EXPECT_EQ(s.prefetchWasted, 0u);
@@ -322,98 +280,33 @@ TEST(DecodedCache, PrefetchCountersTrackClaims)
 
 TEST(DecodedCache, UnclaimedPrefetchCountsWasted)
 {
-    DecodedWindowCache cache(1);
-    auto fill = [](SampleSpan out) -> std::size_t {
-        out[0] = 1.0;
-        return 1;
-    };
-    cache.prefetch(key(0, 0), 1, fill);
-    // Evicted by demand traffic before any get() touched it.
-    cache.get(key(1, 0), 1, fill);
-    auto s = cache.stats();
+    TieredWindowStore model(flat(1));
+    // Evicted by demand traffic before any probe touched it.
+    replayLog(model, {prefetch(0, 0), play(1, 0)});
+    const auto s = model.stats();
     EXPECT_EQ(s.prefetches, 1u);
     EXPECT_EQ(s.prefetchHits, 0u);
     EXPECT_EQ(s.prefetchWasted, 1u);
-
-    // clear() resolves still-unclaimed prefetches as wasted too.
-    cache.prefetch(key(2, 0), 1, fill);
-    cache.clear();
-    s = cache.stats();
-    EXPECT_EQ(s.prefetches, 2u);
-    EXPECT_EQ(s.prefetchWasted, 2u);
 }
 
 TEST(DecodedCache, PrefetchIsANoOpWhenDisabledOrResident)
 {
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 1.0;
-        return 1;
-    };
-    // Disabled cache: null handle, no decode, no counters.
-    DecodedWindowCache off(0);
-    EXPECT_FALSE(off.prefetch(key(0, 0), 1, fill));
-    EXPECT_EQ(decodes, 0);
-    EXPECT_EQ(off.stats().prefetches, 0u);
-
-    // Resident key: recency refresh only — no decode, no counters,
+    // Resident window: recency refresh only — no insert, no counters,
     // but the entry becomes MRU and survives the next eviction.
-    DecodedWindowCache cache(2);
-    cache.get(key(0, 0), 1, fill); // [k0]
-    cache.get(key(1, 0), 1, fill); // [k1 k0]
-    EXPECT_EQ(decodes, 2);
-    EXPECT_FALSE(cache.prefetch(key(0, 0), 1, fill)); // [k0 k1]
-    EXPECT_EQ(decodes, 2);
-    EXPECT_EQ(cache.stats().prefetches, 0u);
-    cache.get(key(2, 0), 1, fill); // evicts k1, not k0
-    cache.get(key(0, 0), 1, fill);
-    const auto s = cache.stats();
-    EXPECT_EQ(decodes, 3);
+    TieredWindowStore model(flat(2));
+    std::uint64_t inserted = 1;
+    replayLog(model,
+              {play(0, 0), play(1, 0), // [k1 k0]
+               prefetch(0, 0),         // [k0 k1]
+               play(2, 0),             // evicts k1, not k0
+               play(0, 0)},
+              &inserted);
+    const auto s = model.stats();
+    EXPECT_EQ(inserted, 0u);
+    EXPECT_EQ(s.prefetches, 0u);
+    EXPECT_EQ(s.misses, 3u);
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.evictions, 1u);
-}
-
-TEST(DecodedCache, BitExactVsGoldenDecoder)
-{
-    const auto dev = waveform::DeviceModel::ibm("bogota");
-    const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = buildCompressed(lib);
-
-    DecodedWindowCache cache(1 << 14);
-    const core::Decompressor dec;
-    for (const auto &[id, e] : clib.entries()) {
-        const core::CompressedChannel *channels[2] = {&e.cw.i,
-                                                      &e.cw.q};
-        for (std::uint8_t ch = 0; ch < 2; ++ch) {
-            const auto &channel = *channels[ch];
-            // Assemble the channel from cached windows (run twice so
-            // the second pass replays from cache).
-            for (int pass = 0; pass < 2; ++pass) {
-                std::vector<double> assembled;
-                for (std::uint32_t w = 0;
-                     w < channel.windows.size(); ++w) {
-                    const auto v = cache.get(
-                        {id, ch, w}, channel.windowSize,
-                        [&](SampleSpan out) {
-                            return dec.decompressWindowInto(
-                                channel, e.cw.codec, w, out);
-                        });
-                    const auto s = v.samples();
-                    assembled.insert(assembled.end(), s.begin(),
-                                     s.end());
-                }
-                const auto golden =
-                    dec.decompressChannel(channel, e.cw.codec);
-                ASSERT_EQ(assembled, golden)
-                    << waveform::toString(id) << " ch "
-                    << static_cast<int>(ch) << " pass " << pass;
-            }
-        }
-    }
-    const auto s = cache.stats();
-    EXPECT_GT(s.hits, 0u);
-    EXPECT_EQ(s.evictions, 0u);
 }
 
 TEST(DecodedCache, DefaultWindowHookMatchesChannelSlice)
@@ -442,62 +335,38 @@ TEST(DecodedCache, DefaultWindowHookMatchesChannelSlice)
     EXPECT_EQ(window, dec.decompressChannel(cwn.i, cwn.codec));
 }
 
-// ----------------------------------------------- hierarchical store
-
-/** An 8-sample decode hook stamping a per-key fingerprint, plus a
- *  decode counter — enough to watch admission decisions. */
-struct CountingDecoder
-{
-    int decodes = 0;
-
-    auto
-    fill(const DecodedWindowKey &k)
-    {
-        return [this, k](SampleSpan out) -> std::size_t {
-            ++decodes;
-            for (std::size_t i = 0; i < out.size(); ++i)
-                out[i] = static_cast<double>(k.gate.q0 * 1000 +
-                                             k.window * 10 + i);
-            return out.size();
-        };
-    }
-};
-
 TEST(TieredStore, SampleBudgetBoundsResidency)
 {
     TieredStoreConfig cfg;
     cfg.tier0 = {100, 16}; // window cap slack; budget binds at 16
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    auto s = store.stats();
+    TieredWindowStore model(cfg);
+    replayLog(model, {play(0, 0), play(1, 0)});
+    auto s = model.stats();
     EXPECT_EQ(s.entries, 2u);
     EXPECT_EQ(s.residentSamples, 16u);
     EXPECT_EQ(s.tier[0].residentSamples, 16u);
 
     // A third window overflows the sample budget: the LRU entry
     // (qubit 0) is evicted even though the window cap has room.
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    s = store.stats();
+    replayLog(model, {play(2, 0)});
+    s = model.stats();
     EXPECT_EQ(s.entries, 2u);
     EXPECT_EQ(s.residentSamples, 16u);
     EXPECT_EQ(s.evictions, 1u);
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    EXPECT_EQ(dec.decodes, 4); // qubit 0 really was dropped
+    replayLog(model, {play(0, 0)});
+    EXPECT_EQ(model.stats().misses, 4u); // qubit 0 really was dropped
 
     // One oversized window may exceed the whole budget on its own:
     // the budget never evicts the sole resident entry.
     TieredStoreConfig tiny;
     tiny.tier0 = {100, 4};
     TieredWindowStore wide(tiny);
-    CountingDecoder wdec;
-    wide.get(key(7, 0), 32, wdec.fill(key(7, 0)));
+    replayLog(wide, {play(7, 0, 1, 32)});
     s = wide.stats();
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.residentSamples, 32u);
     EXPECT_EQ(s.evictions, 0u);
-    wide.get(key(8, 0), 32, wdec.fill(key(8, 0)));
+    replayLog(wide, {play(8, 0, 1, 32)});
     s = wide.stats();
     EXPECT_EQ(s.entries, 1u); // over budget: back down to one
     EXPECT_EQ(s.evictions, 1u);
@@ -509,13 +378,12 @@ TEST(TieredStore, AdmitAlwaysDemotesAndPromotesAcrossTiers)
     cfg.tier0 = {1, 0};
     cfg.tier1 = {2, 0};
     cfg.tier1PenaltyCycles = 8;
-    TieredWindowStore store(cfg);
-    ASSERT_TRUE(store.tiered());
-    CountingDecoder dec;
+    TieredWindowStore model(cfg);
+    ASSERT_TRUE(model.tiered());
 
-    store.get(key(0, 0), 8, dec.fill(key(0, 0))); // A -> tier 0
-    store.get(key(1, 0), 8, dec.fill(key(1, 0))); // B -> t0, A -> t1
-    auto s = store.stats();
+    replayLog(model, {play(0, 0),   // A -> tier 0
+                      play(1, 0)}); // B -> t0, A -> t1
+    auto s = model.stats();
     EXPECT_EQ(s.demotions, 1u);
     EXPECT_EQ(s.tier[0].entries, 1u);
     EXPECT_EQ(s.tier[1].entries, 1u);
@@ -523,9 +391,8 @@ TEST(TieredStore, AdmitAlwaysDemotesAndPromotesAcrossTiers)
     // A is served from tier 1 (penalty charged, tier-0 miss + tier-1
     // hit recorded) and — having proven reuse by being demoted —
     // promotes straight back, demoting B.
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    s = store.stats();
-    EXPECT_EQ(dec.decodes, 2); // no re-decode: the hierarchy served it
+    replayLog(model, {play(0, 0)});
+    s = model.stats();
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 2u);
     EXPECT_EQ(s.tier[1].hits, 1u);
@@ -533,66 +400,39 @@ TEST(TieredStore, AdmitAlwaysDemotesAndPromotesAcrossTiers)
     EXPECT_EQ(s.promotions, 1u);
     EXPECT_EQ(s.demotions, 2u);
     // tier-1 traffic: demote A, hit A, demote B.
-    EXPECT_EQ(s.tier1Accesses, 3u);
     EXPECT_EQ(s.penaltyCycles, 3u * 8u);
     EXPECT_NEAR(s.tier0HitRate(), 0.0, 1e-12);
     EXPECT_NEAR(s.hitRate(), 1.0 / 3.0, 1e-12);
 }
 
-TEST(TieredStore, SecondTouchStagesInSlowTierUntilReuse)
+TEST(TieredStore, PrefetchTierHintsStageAndPromote)
 {
     TieredStoreConfig cfg;
     cfg.tier0 = {4, 0};
     cfg.tier1 = {4, 0};
-    cfg.admission = AdmissionPolicy::SecondTouch;
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
+    TieredWindowStore model(cfg);
 
-    // First touch: rejected from tier 0, staged in tier 1.
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    auto s = store.stats();
-    EXPECT_EQ(s.tier[0].admitRejected, 1u);
-    EXPECT_EQ(s.tier[1].admitted, 1u);
-    EXPECT_EQ(s.tier[0].entries, 0u);
+    // A slow-tier hint stages the window in tier 1 (a write: one
+    // penalty) without disturbing tier 0.
+    replayLog(model, {prefetch(0, 0, 1)});
+    auto s = model.stats();
     EXPECT_EQ(s.tier[1].entries, 1u);
+    EXPECT_EQ(s.tier[1].admitted, 1u);
+    EXPECT_EQ(s.penaltyCycles, 8u);
 
-    // Second touch hits tier 1; third touch promotes.
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    s = store.stats();
-    EXPECT_EQ(dec.decodes, 1);
-    EXPECT_EQ(s.tier[1].hits, 2u);
+    // A fast-tier hint on the staged window pulls it into tier 0
+    // ahead of its PLAY (a second tier-1 access), so the play is a
+    // free tier-0 hit that claims the prefetch.
+    std::uint64_t inserted = 1;
+    replayLog(model, {prefetch(0, 0, 0), play(0, 0)}, &inserted);
+    s = model.stats();
+    EXPECT_EQ(inserted, 0u);
     EXPECT_EQ(s.promotions, 1u);
+    EXPECT_EQ(s.penaltyCycles, 16u);
+    EXPECT_EQ(s.tier[0].hits, 1u);
+    EXPECT_EQ(s.prefetchHits, 1u);
     EXPECT_EQ(s.tier[0].entries, 1u);
     EXPECT_EQ(s.tier[1].entries, 0u);
-}
-
-TEST(TieredStore, SecondTouchGhostAdmitsOnReuseWithoutSlowTier)
-{
-    // With no tier 1 the first touch is served but cached nowhere;
-    // the ghost list remembers it, so the second miss admits.
-    TieredStoreConfig cfg;
-    cfg.tier0 = {4, 0};
-    cfg.admission = AdmissionPolicy::SecondTouch;
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-
-    auto first = store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    EXPECT_EQ(first.size(), 8u); // bypass still serves the decode
-    auto s = store.stats();
-    EXPECT_EQ(s.tier[0].admitRejected, 1u);
-    EXPECT_EQ(s.entries, 0u);
-
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    s = store.stats();
-    EXPECT_EQ(dec.decodes, 2); // the bypass pass was not cached
-    EXPECT_EQ(s.misses, 2u);
-    EXPECT_EQ(s.tier[0].admitted, 1u);
-    EXPECT_EQ(s.entries, 1u);
-
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    EXPECT_EQ(dec.decodes, 2);
-    EXPECT_EQ(store.stats().hits, 1u);
 }
 
 TEST(TieredStore, TinyLfuChallengesTheVictimFrequency)
@@ -600,221 +440,119 @@ TEST(TieredStore, TinyLfuChallengesTheVictimFrequency)
     TieredStoreConfig cfg;
     cfg.tier0 = {2, 0};
     cfg.admission = AdmissionPolicy::TinyLfu;
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
+    TieredWindowStore model(cfg);
 
     // Warm A and B to frequency 2 each (every probe feeds the
     // sketch).
-    for (int pass = 0; pass < 2; ++pass) {
-        store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-        store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    }
-    ASSERT_EQ(dec.decodes, 2);
+    replayLog(model, {play(0, 0), play(1, 0), play(0, 0), play(1, 0)});
+    ASSERT_EQ(model.stats().misses, 2u);
 
     // A cold challenger cannot displace a warmer victim: the first
-    // two C touches lose the frequency duel and bypass the cache.
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    auto s = store.stats();
+    // two C touches lose the frequency duel and are kept out.
+    replayLog(model, {play(2, 0), play(2, 0)});
+    auto s = model.stats();
     EXPECT_EQ(s.tier[0].admitRejected, 2u);
     EXPECT_EQ(s.evictions, 0u);
-    EXPECT_EQ(dec.decodes, 4); // rejected C decodes every time
+    EXPECT_EQ(s.misses, 4u);
 
     // Third touch: C's estimate (3) now beats the LRU victim's (2),
     // so it is admitted and the victim is dropped.
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    s = store.stats();
+    replayLog(model, {play(2, 0)});
+    s = model.stats();
     EXPECT_EQ(s.tier[0].admitted, 3u);
     EXPECT_EQ(s.evictions, 1u);
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    EXPECT_EQ(dec.decodes, 5);
-    EXPECT_EQ(store.stats().hits, 3u); // warm passes + resident C
+    replayLog(model, {play(2, 0)});
+    s = model.stats();
+    EXPECT_EQ(s.misses, 5u);
+    EXPECT_EQ(s.hits, 3u); // warm passes + resident C
 }
 
-TEST(TieredStore, EvictionUnderTierPressureKeepsPinnedWindowAlive)
+TEST(TieredStore, RangeEventsMatchPerWindowEvents)
 {
-    TieredStoreConfig cfg;
-    cfg.tier0 = {1, 0};
-    cfg.tier1 = {1, 0};
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-
-    auto pinned = store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    const std::vector<double> want(pinned.samples().begin(),
-                                   pinned.samples().end());
-
-    // B demotes A; C demotes B, which pushes A out of tier 1
-    // entirely — while the caller still holds its handle.
-    store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    auto s = store.stats();
-    EXPECT_EQ(s.evictions, 1u);
-    EXPECT_EQ(s.tier[1].evictions, 1u);
-    EXPECT_EQ(s.demotions, 2u);
-    EXPECT_EQ(s.entries, 2u);
-
-    // The pinned handle still reads the original samples.
-    ASSERT_TRUE(pinned);
-    EXPECT_EQ(std::vector<double>(pinned.samples().begin(),
-                                  pinned.samples().end()),
-              want);
-
-    // Releasing the pin recycles the slot: the next fill reuses it
-    // instead of carving a new one.
-    const auto before = store.stats().slotsAllocated;
-    pinned = {};
-    store.get(key(3, 0), 8, dec.fill(key(3, 0)));
-    EXPECT_EQ(store.stats().slotsAllocated, before);
-}
-
-TEST(TieredStore, LookupPutBatchPathMatchesGetStats)
-{
-    // The batch-fill protocol (lookup, decode outside the lock, put)
-    // must land on exactly the same stats as the blocking get()
-    // path, policy by policy.
-    const DecodedWindowKey trace[] = {key(0, 0), key(1, 0), key(0, 0),
-                                      key(2, 0), key(0, 0), key(1, 0),
-                                      key(2, 0), key(2, 0), key(3, 0)};
-    for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
-        TieredStoreConfig cfg;
-        cfg.tier0 = {2, 0};
-        cfg.tier1 = {2, 0};
-        cfg.admission = policy;
-        TieredWindowStore viaGet(cfg);
-        TieredWindowStore viaPut(cfg);
-        CountingDecoder gdec, pdec;
-        for (const auto &k : trace) {
-            viaGet.get(k, 8, gdec.fill(k));
-            if (auto h = viaPut.lookup(k); !h) {
-                std::vector<double> buf(8);
-                pdec.fill(k)(SampleSpan(buf.data(), buf.size()));
-                viaPut.put(k, {buf.data(), buf.size()}, 8);
+    // One event per PLAY range is a recording format, not a model
+    // change: a stream replayed as ranges must land on exactly the
+    // counters of the same windows replayed one event each — across
+    // policies, tier splits, eviction pressure and prefetches.
+    const std::vector<WindowEvent> stream = {
+        play(0, 0, 12), play(1, 0, 20), play(0, 0, 12), prefetch(2, 3),
+        play(2, 0, 8),  play(1, 4, 9),  play(3, 0, 30), play(0, 2, 6),
+        play(1, 0, 20), prefetch(0, 40, 1), play(0, 36, 8),
+        play(3, 0, 30), play(0, 0, 12), play(2, 0, 8)};
+    WindowEventLog ranges, singles;
+    for (int pass = 0; pass < 3; ++pass)
+        for (const auto &e : stream) {
+            ranges.push_back(e);
+            for (std::uint32_t w = e.first; w < e.first + e.count; ++w) {
+                WindowEvent one = e;
+                one.first = w;
+                one.count = 1;
+                singles.push_back(one);
             }
         }
-        EXPECT_EQ(gdec.decodes, pdec.decodes) << admissionPolicyName(policy);
-        const auto a = viaGet.stats();
-        const auto b = viaPut.stats();
-        EXPECT_EQ(a.hits, b.hits) << admissionPolicyName(policy);
-        EXPECT_EQ(a.misses, b.misses) << admissionPolicyName(policy);
-        EXPECT_EQ(a.evictions, b.evictions) << admissionPolicyName(policy);
-        EXPECT_EQ(a.promotions, b.promotions) << admissionPolicyName(policy);
-        EXPECT_EQ(a.demotions, b.demotions) << admissionPolicyName(policy);
-        EXPECT_EQ(a.tier1Accesses, b.tier1Accesses)
-            << admissionPolicyName(policy);
-        EXPECT_EQ(a.penaltyCycles, b.penaltyCycles)
-            << admissionPolicyName(policy);
-        EXPECT_EQ(a.entries, b.entries) << admissionPolicyName(policy);
-        EXPECT_EQ(a.residentSamples, b.residentSamples)
-            << admissionPolicyName(policy);
+    struct Shape
+    {
+        TierConfig tier0, tier1;
+        AdmissionPolicy admission;
+    };
+    const Shape shapes[] = {
+        {{256, 0}, {}, AdmissionPolicy::AdmitAlways},
+        {{24, 0}, {}, AdmissionPolicy::AdmitAlways},
+        {{16, 0}, {24, 0}, AdmissionPolicy::AdmitAlways},
+        {{24, 0}, {}, AdmissionPolicy::TinyLfu},
+        {{12, 96}, {32, 0}, AdmissionPolicy::TinyLfu},
+    };
+    for (const Shape &sh : shapes) {
+        const TieredStoreConfig cfg{sh.tier0, sh.tier1, sh.admission, 8};
+        TieredWindowStore a(cfg), b(cfg);
+        std::uint64_t ia = 0, ib = 0;
+        const auto x = replayLog(a, ranges, &ia);
+        const auto y = replayLog(b, singles, &ib);
+        const std::string tag = std::string(admissionPolicyName(sh.admission)) +
+                                " t0=" + std::to_string(sh.tier0.windows) +
+                                " t1=" + std::to_string(sh.tier1.windows);
+        EXPECT_GT(x.hits, 0u) << tag;
+        EXPECT_EQ(ia, ib) << tag;
+        EXPECT_EQ(x.hits, y.hits) << tag;
+        EXPECT_EQ(x.misses, y.misses) << tag;
+        EXPECT_EQ(x.evictions, y.evictions) << tag;
+        EXPECT_EQ(x.prefetches, y.prefetches) << tag;
+        EXPECT_EQ(x.prefetchHits, y.prefetchHits) << tag;
+        EXPECT_EQ(x.prefetchWasted, y.prefetchWasted) << tag;
+        EXPECT_EQ(x.promotions, y.promotions) << tag;
+        EXPECT_EQ(x.demotions, y.demotions) << tag;
+        EXPECT_EQ(x.penaltyCycles, y.penaltyCycles) << tag;
+        EXPECT_EQ(x.entries, y.entries) << tag;
         for (std::size_t t = 0; t < 2; ++t) {
-            EXPECT_EQ(a.tier[t].hits, b.tier[t].hits)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].misses, b.tier[t].misses)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].admitted, b.tier[t].admitted)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].admitRejected,
-                      b.tier[t].admitRejected)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].entries, b.tier[t].entries)
-                << admissionPolicyName(policy) << " tier " << t;
+            EXPECT_EQ(x.tier[t].hits, y.tier[t].hits) << tag;
+            EXPECT_EQ(x.tier[t].admitRejected, y.tier[t].admitRejected)
+                << tag;
+            EXPECT_EQ(x.tier[t].entries, y.tier[t].entries) << tag;
         }
     }
 }
 
-TEST(TieredStore, SingleFlightDecodesColdKeyOnce)
+TEST(TieredStore, RetiredVersionsAgeOutUnderChurn)
 {
+    // Keys carry the library version: windows of a retired version
+    // are never hit again and leave by eviction (their node runs are
+    // freed as they empty), while the new version fills beside them.
     TieredStoreConfig cfg;
-    cfg.tier0 = {8, 0};
-    TieredWindowStore store(cfg);
-    constexpr int kThreads = 8;
-    std::atomic<int> decodes{0};
-    std::atomic<int> arrived{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&] {
-            arrived.fetch_add(1);
-            const auto h =
-                store.get(key(0, 0), 8, [&](SampleSpan out) {
-                    // Give the pack time to pile onto the latch;
-                    // correctness does not depend on the timing.
-                    decodes.fetch_add(1);
-                    while (arrived.load() < kThreads)
-                        std::this_thread::yield();
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(10));
-                    for (std::size_t i = 0; i < out.size(); ++i)
-                        out[i] = static_cast<double>(i);
-                    return out.size();
-                });
-            ASSERT_TRUE(h);
-            ASSERT_EQ(h.size(), 8u);
-        });
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(decodes.load(), 1);
-    const auto s = store.stats();
-    // Every thread lands in exactly one column: the leader is a
-    // miss; a waiter probes a miss, then latches and wakes to a
-    // duplicate avoided; a late arrival is a plain hit.
-    EXPECT_EQ(s.hits + s.duplicateDecodesAvoided,
-              static_cast<std::uint64_t>(kThreads - 1));
-    EXPECT_EQ(s.misses, 1u + s.duplicateDecodesAvoided);
-    EXPECT_GT(s.duplicateDecodesAvoided, 0u);
-}
-
-TEST(TieredStore, BitExactVsSingleTierAcrossPolicies)
-{
-    // The hierarchy is a placement policy, not a data path: every
-    // decoded window must be bit-identical to the flat store's, for
-    // every admission policy, even when tiny tiers force constant
-    // demotion and re-decode.
-    const auto dev = waveform::DeviceModel::ibm("bogota");
-    const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = buildCompressed(lib);
-    const core::Decompressor dec;
-
-    const auto assemble = [&](TieredWindowStore &store) {
-        std::vector<double> all;
-        for (int pass = 0; pass < 2; ++pass)
-            for (const auto &[id, e] : clib.entries()) {
-                const core::CompressedChannel *chs[2] = {&e.cw.i,
-                                                         &e.cw.q};
-                for (std::uint8_t ch = 0; ch < 2; ++ch)
-                    for (std::uint32_t w = 0;
-                         w < chs[ch]->windows.size(); ++w) {
-                        const auto v = store.get(
-                            {id, ch, w}, chs[ch]->windowSize,
-                            [&](SampleSpan out) {
-                                return dec.decompressWindowInto(
-                                    *chs[ch], e.cw.codec, w, out);
-                            });
-                        all.insert(all.end(), v.samples().begin(),
-                                   v.samples().end());
-                    }
-            }
-        return all;
-    };
-
-    TieredWindowStore flat(1 << 14);
-    const auto golden = assemble(flat);
-    ASSERT_FALSE(golden.empty());
-    for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
-        TieredStoreConfig cfg;
-        cfg.tier0 = {16, 0};
-        cfg.tier1 = {64, 0};
-        cfg.admission = policy;
-        TieredWindowStore tiered(cfg);
-        EXPECT_EQ(assemble(tiered), golden) << admissionPolicyName(policy);
-        const auto s = tiered.stats();
-        EXPECT_GT(s.tier[1].admitted + s.demotions, 0u)
-            << admissionPolicyName(policy) << ": tiers never engaged";
+    cfg.tier0 = {32, 0};
+    cfg.tier1 = {32, 0};
+    TieredWindowStore model(cfg);
+    for (std::uint64_t version = 1; version <= 6; ++version) {
+        const WindowEventLog log = {play(0, 0, 24, 8, version),
+                                    play(1, 0, 24, 8, version)};
+        const auto cold = replayLog(model, log);
+        EXPECT_EQ(cold.hits, 0u) << "version " << version;
+        EXPECT_EQ(cold.misses, 48u) << "version " << version;
+        // The 48-window working set fits the 64-window model.
+        const auto warm = replayLog(model, log);
+        EXPECT_EQ(warm.hits, 48u) << "version " << version;
+        EXPECT_EQ(warm.misses, 0u) << "version " << version;
+        const auto s = model.stats();
+        EXPECT_EQ(s.entries, std::min<std::size_t>(64, 48 * version));
+        EXPECT_EQ(s.residentSamples, s.entries * 8u);
     }
 }
 
@@ -835,13 +573,12 @@ TEST(TieredStore, RegistryCountersTrackTierTraffic)
     TieredStoreConfig cfg;
     cfg.tier0 = {1, 0};
     cfg.tier1 = {2, 0};
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(1, 0), 8, dec.fill(key(1, 0))); // demotes A
-    store.get(key(0, 0), 8, dec.fill(key(0, 0))); // t1 hit, promotes
-    store.get(key(0, 0), 8, dec.fill(key(0, 0))); // t0 hit
-    const auto s = store.stats();
+    TieredWindowStore model(cfg);
+    replayLog(model, {play(0, 0),
+                      play(1, 0),   // demotes A
+                      play(0, 0),   // t1 hit, promotes
+                      play(0, 0)}); // t0 hit
+    const auto s = model.stats();
 
     EXPECT_EQ(reg.counter("cache.tier0.hit").value() - hit0,
               s.tier[0].hits);
@@ -865,19 +602,22 @@ TEST(TieredStore, StatsAccumulateAndDeltaRoundTrip)
     TieredStoreConfig cfg;
     cfg.tier0 = {1, 0};
     cfg.tier1 = {2, 0};
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-    const auto before = store.stats();
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    const auto after = store.stats();
+    TieredWindowStore model(cfg);
+    const auto before = model.stats();
+    const auto replayed =
+        replayLog(model, {play(0, 0), play(1, 0), play(0, 0)});
+    const auto after = model.stats();
 
     const auto d = TieredStoreStats::delta(before, after);
     EXPECT_EQ(d.hits, after.hits);
     EXPECT_EQ(d.misses, after.misses);
     EXPECT_EQ(d.entries, after.entries); // latches take the endpoint
     EXPECT_EQ(d.residentSamples, after.residentSamples);
+    // A replay returns exactly its own delta.
+    EXPECT_EQ(replayed.hits, d.hits);
+    EXPECT_EQ(replayed.misses, d.misses);
+    EXPECT_EQ(replayed.penaltyCycles, d.penaltyCycles);
+    EXPECT_EQ(replayed.entries, d.entries);
 
     TieredStoreStats sum;
     sum.accumulate(after);
@@ -1075,8 +815,7 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
     const auto base = ref.executeBatch(batch);
 
     for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
+         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
         for (const int workers : {1, 8}) {
             RackConfig rc = rackConfig(8, 256);
             rc.tier1Windows = 4096;
@@ -1116,6 +855,124 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
                 << tag;
         }
     }
+}
+
+/** Every counter of two model snapshots, field by field. */
+void
+expectSameModelCounters(const DecodedCacheStats &a,
+                        const DecodedCacheStats &b,
+                        const std::string &tag)
+{
+    EXPECT_EQ(a.hits, b.hits) << tag;
+    EXPECT_EQ(a.misses, b.misses) << tag;
+    EXPECT_EQ(a.evictions, b.evictions) << tag;
+    EXPECT_EQ(a.prefetches, b.prefetches) << tag;
+    EXPECT_EQ(a.prefetchHits, b.prefetchHits) << tag;
+    EXPECT_EQ(a.prefetchWasted, b.prefetchWasted) << tag;
+    EXPECT_EQ(a.entries, b.entries) << tag;
+    EXPECT_EQ(a.residentSamples, b.residentSamples) << tag;
+    EXPECT_EQ(a.promotions, b.promotions) << tag;
+    EXPECT_EQ(a.demotions, b.demotions) << tag;
+    EXPECT_EQ(a.penaltyCycles, b.penaltyCycles) << tag;
+    for (std::size_t t = 0; t < 2; ++t) {
+        const auto &x = a.tier[t];
+        const auto &y = b.tier[t];
+        EXPECT_EQ(x.hits, y.hits) << tag << " tier " << t;
+        EXPECT_EQ(x.misses, y.misses) << tag << " tier " << t;
+        EXPECT_EQ(x.evictions, y.evictions) << tag << " tier " << t;
+        EXPECT_EQ(x.admitted, y.admitted) << tag << " tier " << t;
+        EXPECT_EQ(x.admitRejected, y.admitRejected)
+            << tag << " tier " << t;
+        EXPECT_EQ(x.entries, y.entries) << tag << " tier " << t;
+        EXPECT_EQ(x.residentSamples, y.residentSamples)
+            << tag << " tier " << t;
+    }
+}
+
+TEST_F(RackSurface49, ModelCountersIdenticalAcrossWorkerCounts)
+{
+    // The model joins the determinism contract: cells record their
+    // plays in parallel and the grid replays them in (circuit, shard)
+    // order, so every RackStats.cache counter (and every shard's
+    // prefetchesIssued) is bit-identical at 1 and 4 workers, on both
+    // back ends, batch after batch — under eviction pressure on a
+    // single-tier admit-always rack and a two-tier TinyLfu rack.
+    const std::vector<circuits::Schedule> batch = {*sched_, *sched_};
+    RackConfig flat = rackConfig(4, 2048);
+    RackConfig tiered = rackConfig(4, 256);
+    tiered.tier1Windows = 1024;
+    tiered.admission = AdmissionPolicy::TinyLfu;
+    const std::pair<const char *, RackConfig> racks[] = {
+        {"single-tier admit-always", flat},
+        {"two-tier tinylfu", tiered}};
+    for (const auto &[name, rc] : racks) {
+        for (const bool compiled : {false, true}) {
+            std::vector<std::vector<RackStats>> runs;
+            for (const int workers : {1, 4}) {
+                const Rack rack(*dev_, *clib_, rc);
+                RuntimeService svc(rack, {.workers = workers});
+                auto &seq = runs.emplace_back();
+                for (int round = 0; round < 3; ++round)
+                    seq.push_back(compiled
+                                      ? svc.executeBatchCompiled(batch)
+                                      : svc.executeBatch(batch));
+            }
+            for (std::size_t round = 0; round < runs[0].size();
+                 ++round) {
+                const std::string tag =
+                    std::string(name) +
+                    (compiled ? " compiled" : " direct") + " round " +
+                    std::to_string(round);
+                const auto &one = runs[0][round];
+                const auto &four = runs[1][round];
+                expectSameModelCounters(one.cache, four.cache, tag);
+                EXPECT_EQ(one.prefetchesIssued, four.prefetchesIssued)
+                    << tag;
+                for (std::size_t s = 0; s < one.shards.size(); ++s)
+                    EXPECT_EQ(one.shards[s].prefetchesIssued,
+                              four.shards[s].prefetchesIssued)
+                        << tag << " shard " << s;
+            }
+            // The racks really were under pressure.
+            EXPECT_GT(runs[0][0].cache.evictions +
+                          runs[0][0].cache.demotions,
+                      0u)
+                << name;
+        }
+    }
+}
+
+TEST_F(RackSurface49, ThrowingBatchLeavesTheModelUntouched)
+{
+    // A batch that throws mid-grid must not leave its completed
+    // cells' plays in the model: the server re-runs such a batch one
+    // job at a time, and those re-runs must count only their own
+    // hits. The short schedule's programs fit an instruction memory
+    // sized to them; the surface-code cycle's do not.
+    const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
+    circuits::Circuit c(8);
+    for (int q = 0; q < 8; ++q)
+        c.x(q);
+    const auto small = circuits::schedule(c, {});
+    const isa::Compiler bare(rack, {.emitPrefetch = false});
+    std::size_t words = 0;
+    for (const auto &part :
+         circuits::partitionByOwner(small, rack.plan().owner, 4)) {
+        isa::ProgramStats st;
+        bare.compileShard(part, &st);
+        words = std::max(words, st.memoryWords);
+    }
+    const isa::CompilerConfig cfg{.instructionMemoryWords = words};
+
+    RuntimeService svc(rack, {.workers = 1});
+    EXPECT_GT(svc.executeBatchCompiled({small}, cfg).cache.misses, 0u);
+    const auto before = rack.cache().stats();
+    // One worker runs the cells in order: the small schedule's cells
+    // all complete before the first surface-code cell throws.
+    EXPECT_THROW(svc.executeBatchCompiled({small, *sched_}, cfg),
+                 std::invalid_argument);
+    expectSameModelCounters(before, rack.cache().stats(),
+                            "after the throwing batch");
 }
 
 TEST_F(RackSurface49, HotBatchRunsAlmostEntirelyFromCache)
