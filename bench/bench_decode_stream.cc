@@ -18,11 +18,21 @@
  * (prefix-sparse inverse for int-dct, checkpointed O(ws) decode for
  * delta).
  *
+ * A playback row plays a real library end to end: the QEC
+ * calibration the fleet benchmark serves (d=5 rotated surface-code
+ * patch, int-dct ws16, target MSE 1e-5, per-channel adaptive
+ * planning), every channel of every gate through
+ * runtime::WindowPlayer::playWindows, reported beside the kernel rows
+ * with the player/kernel ratio (player samples/s over the int-dct
+ * ws16 k=8 kernel row on the active backend). The same library
+ * through Decompressor::decodeWindowsInto in kBatchWindows batches
+ * rides along.
+ *
  * The bench also instruments global operator new to count heap
- * allocations inside the measured span loop — the acceptance
- * criterion is exactly zero in steady state — and emits
- * BENCH_decode_stream.json with samples/s for both paths plus the
- * speedup and the allocation counter.
+ * allocations inside the measured span, batch and playback loops —
+ * the acceptance criterion is exactly zero in steady state — and
+ * emits BENCH_decode_stream.json with samples/s for every path plus
+ * the speedups and the allocation counters.
  *
  * Usage: bench_decode_stream [--tiny]
  *   --tiny  CI smoke mode: fewer repetitions, same schema.
@@ -38,14 +48,18 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "circuits/surface_code.hh"
 #include "common/arena.hh"
 #include "common/table.hh"
 #include "core/decompressor.hh"
+#include "core/library_compiler.hh"
 #include "core/pipeline.hh"
 #include "dsp/int_dct.hh"
 #include "dsp/simd.hh"
 #include "runtime/playback.hh"
 #include "uarch/pipeline.hh"
+#include "waveform/device.hh"
+#include "waveform/library.hh"
 #include "waveform/shapes.hh"
 
 // ------------------------------------------------ allocation counter
@@ -230,6 +244,7 @@ main(int argc, char **argv)
     const std::size_t batch_sizes[] = {1, 2, 4, 8};
 
     double int_dct16_speedup = 0.0;
+    double kernel16_active_k8 = 0.0;
     double simd16_scalar_k1 = 0.0, simd16_best = 0.0;
     double simd32_scalar_k1 = 0.0, simd32_best = 0.0;
     std::uint64_t worst_span_allocs = 0;
@@ -375,6 +390,9 @@ main(int argc, char **argv)
                     if (cfg.ws == 32)
                         simd32_scalar_k1 = batch.samplesPerSec;
                 }
+                if (is_int && k == 8 && cfg.ws == 16 &&
+                    backend == ambient)
+                    kernel16_active_k8 = batch.samplesPerSec;
                 if (is_int && k == 8) {
                     if (cfg.ws == 16)
                         simd16_best = std::max(simd16_best,
@@ -388,9 +406,101 @@ main(int argc, char **argv)
         }
         dsp::simd::setBackend(ambient);
     }
+
+    // Playback row: the fleet benchmark's QEC calibration, every
+    // channel of every gate through the player (no event log, so
+    // nothing but decode), then through the Decompressor's batch
+    // entry in kBatchWindows chunks.
+    // The device name seeds the synthetic calibrations, so this is the
+    // fleet benchmark's one-patch device and pulses exactly.
+    const auto patch = circuits::makeSurfaceCode(
+        5, circuits::SurfaceLayout::Rotated, 1);
+    const auto qec_dev = waveform::DeviceModel::synthetic(
+        "fleetbench-d5x1", patch.totalQubits(),
+        patch.nativeCoupling().edges());
+    core::LibraryCompilerConfig lcc;
+    lcc.fidelity.base.codec = "int-dct";
+    lcc.fidelity.base.windowSize = 16;
+    lcc.fidelity.targetMse = 1e-5;
+    auto qec_lib = std::make_shared<const core::CompressedLibrary>(
+        core::LibraryCompiler(lcc)
+            .compile(waveform::PulseLibrary::build(qec_dev))
+            .library);
+    runtime::RackConfig rc;
+    rc.numShards = 1;
+    rc.controller.compressed = true;
+    rc.controller.windowSize = 16;
+    rc.controller.memoryWidth = qec_lib->worstCaseWindowWords();
+    const runtime::Rack qec_rack(qec_dev, qec_lib, rc);
+    const runtime::VersionedLibrary vlib = qec_rack.currentLibrary();
+    runtime::WindowPlayer player(qec_rack, vlib);
+    std::uint64_t qec_windows = 0;
+    for (const auto &[id, e] : qec_lib->entries())
+        qec_windows += e.cw.i.numWindows() + e.cw.q.numWindows();
+    const auto play_library = [&] {
+        runtime::PlaybackCounters c;
+        for (const auto &[id, e] : qec_lib->entries())
+            for (std::uint8_t ch = 0; ch < 2; ++ch) {
+                const auto n = static_cast<std::uint32_t>(
+                    (ch == 0 ? e.cw.i : e.cw.q).numWindows());
+                if (n > 0)
+                    player.playWindows(id, e, ch, 0, n, c);
+            }
+        return c.samples;
+    };
+    const core::Decompressor qec_dec;
+    constexpr std::size_t kPlayBatch = runtime::WindowPlayer::kBatchWindows;
+    std::vector<double> qec_scratch(16 * kPlayBatch);
+    const auto decode_library = [&] {
+        std::uint64_t n = 0;
+        for (const auto &[id, e] : qec_lib->entries())
+            for (const auto *ch : {&e.cw.i, &e.cw.q})
+                for (std::size_t w = 0; w < ch->numWindows();
+                     w += kPlayBatch)
+                    n += qec_dec.decodeWindowsInto(
+                        *ch, e.cw.codec, w,
+                        std::min(kPlayBatch, ch->numWindows() - w),
+                        SampleSpan(qec_scratch.data(),
+                                   qec_scratch.size()));
+        return n;
+    };
+    play_library(); // first play sizes the player's scratch
+    const int qec_passes = tiny ? 3 : 20;
+    const auto played = measure(reps, qec_passes, play_library);
+    const auto decoded = measure(reps, qec_passes, decode_library);
+    const double play_ratio =
+        kernel16_active_k8 > 0.0
+            ? played.samplesPerSec / kernel16_active_k8
+            : 0.0;
+    Table pt("QEC calibration playback (d=5 rotated, int-dct ws16, "
+             "MSE 1e-5; " +
+             std::string(dsp::simd::backendName(ambient)) + ")");
+    pt.header({"path", "windows", "Msamp/s", "vs kernel k=8",
+               "allocs"});
+    pt.row({"WindowPlayer::playWindows", std::to_string(qec_windows),
+            Table::num(played.samplesPerSec / 1e6, 2),
+            Table::num(play_ratio, 2),
+            std::to_string(played.allocations)});
+    pt.row({"Decompressor::decodeWindowsInto k=8",
+            std::to_string(qec_windows),
+            Table::num(decoded.samplesPerSec / 1e6, 2),
+            Table::num(kernel16_active_k8 > 0.0
+                           ? decoded.samplesPerSec / kernel16_active_k8
+                           : 0.0,
+                       2),
+            std::to_string(decoded.allocations)});
+    report.metric("playback_samples_per_sec", played.samplesPerSec);
+    report.metric("playback_kernel_ratio", play_ratio);
+    report.metric("playback_loop_heap_allocations",
+                  static_cast<double>(played.allocations));
+    report.metric("playback_decompressor_samples_per_sec",
+                  decoded.samplesPerSec);
+
     report.print(t);
     std::cout << '\n';
     report.print(bt);
+    std::cout << '\n';
+    report.print(pt);
 
     std::cout << "\nint-dct ws=16 span-path speedup: "
               << Table::num(int_dct16_speedup, 2)

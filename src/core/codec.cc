@@ -90,20 +90,14 @@ CompressedChannel::segmentForWindow(std::size_t w,
     COMPAQT_REQUIRE(isAdaptive() && windowSize > 0,
                     "segmentForWindow needs an adaptive channel");
     COMPAQT_REQUIRE(w < numWindows(), "window index out of range");
-    std::size_t begin = 0; // first global window of the segment
-    for (const auto &seg : segments) {
-        // Every segment but the last covers a whole number of
-        // windows (boundaries are window-aligned by construction).
-        const std::size_t span =
-            (seg.samples() + windowSize - 1) / windowSize;
-        if (w < begin + span) {
-            local = w - begin;
-            return seg;
-        }
-        begin += span;
-    }
-    COMPAQT_PANIC("adaptive segments cover fewer windows than "
-                  "numSamples implies");
+    const AdaptiveSegment *found = nullptr;
+    forEachSegmentRun(w, w + 1,
+                      [&](const AdaptiveSegment &seg, std::size_t,
+                          std::size_t, std::size_t l) {
+                          found = &seg;
+                          local = l;
+                      });
+    return *found;
 }
 
 dsp::CompressionStats

@@ -33,6 +33,7 @@
 #ifndef COMPAQT_CORE_CODEC_HH
 #define COMPAQT_CORE_CODEC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/logging.hh"
 #include "dsp/delta.hh"
 #include "dsp/metrics.hh"
 #include "waveform/shapes.hh"
@@ -148,6 +150,17 @@ struct CompressedChannel
     const AdaptiveSegment &segmentForWindow(std::size_t w,
                                             std::size_t &local) const;
 
+    /**
+     * Walk an adaptive channel's segment list once, calling
+     * fn(seg, lo, hi, local) for every segment overlapping global
+     * windows [first, end), in order: global windows [lo, hi) lie in
+     * `seg`, and `lo` is window `local` of a ramp segment's
+     * sub-channel. @pre isAdaptive() && end <= numWindows()
+     */
+    template <typename Fn>
+    void forEachSegmentRun(std::size_t first, std::size_t end,
+                           Fn &&fn) const;
+
     dsp::CompressionStats stats() const;
 };
 
@@ -176,6 +189,29 @@ struct AdaptiveSegment
         return isFlat ? count : windows.numSamples;
     }
 };
+
+template <typename Fn>
+void
+CompressedChannel::forEachSegmentRun(std::size_t first, std::size_t end,
+                                     Fn &&fn) const
+{
+    std::size_t begin = 0; // first global window of the segment
+    for (const AdaptiveSegment &seg : segments) {
+        if (begin >= end)
+            return;
+        // Every segment but the last covers a whole number of
+        // windows (boundaries are window-aligned by construction).
+        const std::size_t span =
+            (seg.samples() + windowSize - 1) / windowSize;
+        const std::size_t lo = std::max(first, begin);
+        const std::size_t hi = std::min(end, begin + span);
+        if (lo < hi)
+            fn(seg, lo, hi, lo - begin);
+        begin += span;
+    }
+    COMPAQT_REQUIRE(begin >= end, "adaptive segments cover fewer "
+                                  "windows than numSamples implies");
+}
 
 /**
  * A fully compressed I/Q waveform, tagged with the registry name of

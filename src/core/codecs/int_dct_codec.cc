@@ -7,13 +7,14 @@
  * threshold is converted through the transform's coefficientScale so
  * thresholds are comparable across codecs).
  *
- * The decode side is span-native: decodeInto streams the channel
- * window-by-window through member scratch into caller-owned memory,
- * and decompressWindowInto is the O(windowSize) per-window
- * primitive. Neither allocates.
+ * The decode side is span-native: every entry (decodeInto,
+ * decompressWindowInto, decodeWindowsInto) decodes each window with
+ * one fused inverse-and-dequantize kernel straight into caller-owned
+ * memory. Nothing allocates and the codec keeps no scratch.
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -21,7 +22,6 @@
 #include "core/codec.hh"
 #include "core/codecs/builtin.hh"
 #include "dsp/int_dct.hh"
-#include "dsp/simd.hh"
 
 namespace compaqt::core::codecs
 {
@@ -32,10 +32,7 @@ namespace
 class IntDctCodec final : public ICodec
 {
   public:
-    explicit IntDctCodec(std::size_t ws)
-        : xform_(ws), xbuf_(ws), ybuf_(ws)
-    {
-    }
+    explicit IntDctCodec(std::size_t ws) : xform_(ws) {}
 
     std::string_view name() const override { return "int-dct"; }
     std::string_view label() const override { return "int-DCT-W"; }
@@ -56,18 +53,21 @@ class IntDctCodec final : public ICodec
         const std::size_t nwin = (x.size() + ws - 1) / ws;
         out.windows.resize(nwin);
 
+        std::array<std::int32_t, dsp::IntDct::kMaxSize> xs{}, ys{};
+        const std::span<std::int32_t> xbuf(xs.data(), ws);
+        const std::span<std::int32_t> ybuf(ys.data(), ws);
         for (std::size_t w = 0; w < nwin; ++w) {
             const std::size_t begin = w * ws;
             const std::size_t len = std::min(ws, x.size() - begin);
             for (std::size_t k = 0; k < len; ++k)
-                xbuf_[k] = dsp::IntDct::quantize(x[begin + k]);
+                xbuf[k] = dsp::IntDct::quantize(x[begin + k]);
             for (std::size_t k = len; k < ws; ++k)
-                xbuf_[k] = 0;
-            xform_.forward(xbuf_, ybuf_);
-            for (std::int32_t &c : ybuf_)
+                xbuf[k] = 0;
+            xform_.forward(xbuf, ybuf);
+            for (std::int32_t &c : ybuf)
                 if (std::abs(c) < thr)
                     c = 0;
-            packWindow<std::int32_t>(ybuf_, out.windows[w]);
+            packWindow<std::int32_t>(ybuf, out.windows[w]);
         }
     }
 
@@ -86,9 +86,7 @@ class IntDctCodec final : public ICodec
             const std::size_t len = ch.windowSamples(w);
             if (len == 0)
                 break;
-            inverseToScratch(ch.windows[w]);
-            dsp::simd::dequantizeQ15Into(xbuf_.data(), len,
-                                         out.data() + w * ws);
+            decodeWindow(ch.windows[w], out.subspan(w * ws, len));
         }
     }
 
@@ -109,8 +107,7 @@ class IntDctCodec final : public ICodec
         const std::size_t len = ch.windowSamples(window);
         COMPAQT_REQUIRE(out.size() >= len,
                         "window output span too small");
-        inverseToScratch(ch.windows[window]);
-        dsp::simd::dequantizeQ15Into(xbuf_.data(), len, out.data());
+        decodeWindow(ch.windows[window], out.first(len));
         return len;
     }
 
@@ -126,11 +123,9 @@ class IntDctCodec final : public ICodec
         COMPAQT_REQUIRE(first_window + window_count <=
                             ch.windows.size(),
                         "window batch out of range");
-        // One virtual call amortized over the run: each window's
-        // prefix-sparse inverse and dequantize both dispatch into the
-        // dsp::simd kernels, and the batch keeps their working set
-        // (the transform matrix, the scratch window) hot across
-        // iterations.
+        // One virtual call amortized over the run: each window is
+        // one fused dsp::simd dispatch, and the batch keeps the
+        // transform matrix hot across iterations.
         std::size_t written = 0;
         for (std::size_t j = 0; j < window_count; ++j) {
             const std::size_t len =
@@ -139,33 +134,29 @@ class IntDctCodec final : public ICodec
                 continue;
             COMPAQT_REQUIRE(out.size() >= written + len,
                             "window batch output span too small");
-            inverseToScratch(ch.windows[first_window + j]);
-            dsp::simd::dequantizeQ15Into(xbuf_.data(), len,
-                                         out.data() + written);
+            decodeWindow(ch.windows[first_window + j],
+                         out.subspan(written, len));
             written += len;
         }
         return written;
     }
 
   private:
-    /** Inverse-transform one packed window into xbuf_ — the single
-     *  definition of the window-decode step both the channel and
-     *  per-window paths share (their bit-exactness contract depends
-     *  on it). The trailing-zero run never gets expanded: the
-     *  prefix-sparse inverse consumes the packed coefficients
-     *  directly, bit-exact with the dense product on the
-     *  zero-extended window. */
+    /** Decode one packed window into `out` — the single definition
+     *  of the window-decode step every entry shares (their
+     *  bit-exactness contract depends on it). The trailing-zero run
+     *  never gets expanded: the fused kernel consumes the packed
+     *  prefix directly, bit-exact with the dense inverse on the
+     *  zero-extended window followed by dequantize. */
     void
-    inverseToScratch(const CompressedWindow &w) const
+    decodeWindow(const CompressedWindow &w, SampleSpan out) const
     {
         COMPAQT_REQUIRE(w.icoeffs.size() + w.zeros == xform_.size(),
                         "compressed window has wrong size");
-        xform_.inversePrefix(w.icoeffs, xbuf_);
+        xform_.decodePrefix(w.icoeffs, out);
     }
 
     dsp::IntDct xform_;
-    mutable std::vector<std::int32_t> xbuf_;
-    mutable std::vector<std::int32_t> ybuf_;
 };
 
 } // namespace

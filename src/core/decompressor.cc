@@ -212,41 +212,35 @@ Decompressor::decodeWindowsInto(const CompressedChannel &ch,
     }
 
     // Adaptive channel: segment boundaries are window-aligned, so
-    // the batch splits into maximal runs of windows sharing one
-    // segment. Flat runs collapse to a single constant fill; ramp
-    // runs forward to the codec's batch primitive on the segment's
-    // sub-channel (local indices stay consecutive within a segment).
+    // one walk of the segment list splits the batch into maximal runs
+    // of windows sharing one segment. Flat runs collapse to a single
+    // constant fill; ramp runs forward to the codec's batch primitive
+    // on the segment's sub-channel (local indices stay consecutive
+    // within a segment).
     COMPAQT_REQUIRE(first_window + window_count <= ch.numWindows(),
                     "window batch out of range");
     const ICodec &c = codec(codec_name, ch.windowSize);
-    const std::size_t end = first_window + window_count;
+    const std::size_t ws = ch.windowSize;
     std::size_t written = 0;
-    std::size_t w = first_window;
-    while (w < end) {
-        std::size_t local = 0;
-        const AdaptiveSegment &seg = ch.segmentForWindow(w, local);
-        std::size_t run = 1;
-        std::size_t run_len = ch.windowSamples(w);
-        while (w + run < end) {
-            std::size_t next_local = 0;
-            if (&ch.segmentForWindow(w + run, next_local) != &seg)
-                break;
-            run_len += ch.windowSamples(w + run);
-            ++run;
-        }
-        COMPAQT_REQUIRE(out.size() >= written + run_len,
-                        "window batch output span too small");
-        if (seg.isFlat) {
-            std::fill_n(out.begin() +
-                            static_cast<std::ptrdiff_t>(written),
-                        run_len, seg.value);
-            written += run_len;
-        } else {
-            written += c.decodeWindowsInto(seg.windows, local, run,
-                                           out.subspan(written));
-        }
-        w += run;
-    }
+    ch.forEachSegmentRun(
+        first_window, first_window + window_count,
+        [&](const AdaptiveSegment &seg, std::size_t lo, std::size_t hi,
+            std::size_t local) {
+            const std::size_t run_len =
+                std::min(hi * ws, ch.numSamples) - lo * ws;
+            COMPAQT_REQUIRE(out.size() >= written + run_len,
+                            "window batch output span too small");
+            if (seg.isFlat) {
+                std::fill_n(out.begin() +
+                                static_cast<std::ptrdiff_t>(written),
+                            run_len, seg.value);
+                written += run_len;
+            } else {
+                written += c.decodeWindowsInto(seg.windows, local,
+                                               hi - lo,
+                                               out.subspan(written));
+            }
+        });
     return written;
 }
 

@@ -94,10 +94,11 @@ class Decompressor
      * (WindowPlayer streaming) uses.
      * Output is bit-identical to decompressWindowInto() called per
      * window at the running offset. Adaptive channels split the batch
-     * at segment boundaries: a run of flat windows becomes one
-     * constant fill (IDCT bypass), a run of ramp windows becomes one
-     * codec batch on the segment's sub-channel. Each call bumps the
-     * decode.kernel.batches / decode.kernel.windows counters.
+     * at segment boundaries in one walk of the segment list: a run of
+     * flat windows becomes one constant fill (IDCT bypass), a run of
+     * ramp windows becomes one codec batch on the segment's
+     * sub-channel. Each call bumps the decode.kernel.batches /
+     * decode.kernel.windows counters.
      * @pre first_window + window_count <= ch.numWindows()
      * @pre out.size() >= total samples in the batch
      */

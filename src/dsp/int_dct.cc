@@ -159,15 +159,16 @@ IntDct::inverse(std::span<const std::int32_t> y,
 }
 
 void
-IntDct::inversePrefix(std::span<const std::int32_t> prefix,
-                      std::span<std::int32_t> x) const
+IntDct::decodePrefix(std::span<const std::int32_t> prefix,
+                     std::span<double> out) const
 {
-    COMPAQT_REQUIRE(prefix.size() <= n_ && x.size() == n_,
-                    "IntDct::inversePrefix size mismatch");
+    COMPAQT_REQUIRE(prefix.size() <= n_ && out.size() <= n_,
+                    "IntDct::decodePrefix size mismatch");
     // Column-major walk of the same terms inverse() accumulates; the
     // k >= prefix.size() terms are zero and drop out exactly.
-    simd::idctPrefixInto(m_.data(), n_, prefix.data(), prefix.size(),
-                         ishift_, x.data());
+    simd::idctPrefixDequantizeInto(m_.data(), n_, prefix.data(),
+                                   prefix.size(), ishift_, out.data(),
+                                   out.size());
 }
 
 void

@@ -43,6 +43,9 @@ class IntDct
     /** Fraction bits of the Q-format sample representation. */
     static constexpr int kInputFractionBits = 15;
 
+    /** Largest supported transform size. */
+    static constexpr std::size_t kMaxSize = 32;
+
     /** @param n transform size; must satisfy intDctSupported(n). */
     explicit IntDct(std::size_t n);
 
@@ -85,19 +88,21 @@ class IntDct
                  std::span<std::int32_t> x) const;
 
     /**
-     * Inverse transform of a coefficient prefix: the remaining
+     * Decode one window from its coefficient prefix: the remaining
      * size() - prefix.size() coefficients are an implied zero run
      * (exactly what the RLE codeword encodes), and zero terms
-     * contribute nothing to an integer accumulation, so the result
-     * is bit-exact with inverse() on the zero-extended window while
-     * doing only prefix.size() x size() multiplies. This is the
-     * decode-plane hot kernel: thresholded windows keep only a few
+     * contribute nothing to an integer accumulation, so out[i] is
+     * bit-exact with dequantize(inverse(zero-extended window)[i])
+     * while doing only prefix.size() multiplies per sample. Writes
+     * the first out.size() samples (a clamped tail window asks for
+     * fewer). This is the decode-plane hot kernel, one fused
+     * dsp::simd dispatch: thresholded windows keep only a few
      * coefficients, so skipping the zeros is where COMPAQT's
      * compression pays off in decode throughput too.
-     * @pre prefix.size() <= size(), x.size() == size()
+     * @pre prefix.size() <= size(), out.size() <= size()
      */
-    void inversePrefix(std::span<const std::int32_t> prefix,
-                       std::span<std::int32_t> x) const;
+    void decodePrefix(std::span<const std::int32_t> prefix,
+                      std::span<double> out) const;
 
     /**
      * Inverse transform via the HEVC partial butterfly with every

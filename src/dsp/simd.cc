@@ -1,7 +1,7 @@
 #include "dsp/simd.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,10 +45,21 @@ idctPrefixScalar(const std::int32_t *m, std::size_t n,
 }
 
 void
-dequantizeQ15Scalar(const std::int32_t *x, std::size_t n, double *out)
+idctPrefixDequantizeScalar(const std::int32_t *m, std::size_t n,
+                           const std::int32_t *y, std::size_t p,
+                           int ishift, double *out, std::size_t len)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = std::ldexp(static_cast<double>(x[i]), -15);
+    // Multiplying by the power of two 2^-15 is exact, identical to
+    // IntDct::dequantize's ldexp(v, -15).
+    const std::int64_t round = std::int64_t{1} << (ishift - 1);
+    for (std::size_t i = 0; i < len; ++i) {
+        std::int64_t acc = 0;
+        for (std::size_t k = 0; k < p; ++k)
+            acc += std::int64_t{m[k * n + i]} * y[k];
+        out[i] = static_cast<double>(static_cast<std::int32_t>(
+                     (acc + round) >> ishift)) *
+                 0x1p-15;
+    }
 }
 
 void
@@ -123,20 +134,43 @@ idctPrefixAvx2(const std::int32_t *m, std::size_t n,
 }
 
 __attribute__((target("avx2"))) void
-dequantizeQ15Avx2(const std::int32_t *x, std::size_t n, double *out)
+idctPrefixDequantizeAvx2(const std::int32_t *m, std::size_t n,
+                         const std::int32_t *y, std::size_t p,
+                         int ishift, double *out, std::size_t len)
 {
-    // Multiplying by the power of two 2^-15 is exact, identical to
-    // ldexp(v, -15).
+    // idctPrefixAvx2's accumulation, seeded with the rounding term
+    // (integer adds commute), then finished in registers. AVX2 has no
+    // 64-bit arithmetic right shift, and none is needed: the scalar
+    // kernel keeps only the low 32 bits of the shifted sum, and a
+    // logical shift by ishift <= 32 differs from the arithmetic one
+    // only in the top ishift bits. vpermd gathers the low dwords;
+    // int32 -> double and the 2^-15 scale are exact.
+    const __m256i round =
+        _mm256_set1_epi64x(std::int64_t{1} << (ishift - 1));
+    const __m128i shift = _mm_cvtsi32_si128(ishift);
+    const __m256i lowDwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
     const __m256d scale = _mm256_set1_pd(0x1p-15);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(x + i));
-        _mm256_storeu_pd(out + i,
-                         _mm256_mul_pd(_mm256_cvtepi32_pd(v), scale));
+    for (std::size_t i = 0; i < len; i += 4) {
+        __m256i acc = round;
+        for (std::size_t k = 0; k < p; ++k) {
+            const __m128i row = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(m + k * n + i));
+            acc = _mm256_add_epi64(
+                acc, _mm256_mul_epi32(_mm256_cvtepi32_epi64(row),
+                                      _mm256_set1_epi64x(y[k])));
+        }
+        const __m128i x = _mm256_castsi256_si128(
+            _mm256_permutevar8x32_epi32(_mm256_srl_epi64(acc, shift),
+                                        lowDwords));
+        const __m256d d = _mm256_mul_pd(_mm256_cvtepi32_pd(x), scale);
+        if (i + 4 <= len) {
+            _mm256_storeu_pd(out + i, d);
+        } else {
+            alignas(32) double tail[4];
+            _mm256_store_pd(tail, d);
+            std::memcpy(out + i, tail, (len - i) * sizeof(double));
+        }
     }
-    for (; i < n; ++i)
-        out[i] = std::ldexp(static_cast<double>(x[i]), -15);
 }
 
 __attribute__((target("avx2"))) void
@@ -237,16 +271,36 @@ idctPrefixNeon(const std::int32_t *m, std::size_t n,
 }
 
 void
-dequantizeQ15Neon(const std::int32_t *x, std::size_t n, double *out)
+idctPrefixDequantizeNeon(const std::int32_t *m, std::size_t n,
+                         const std::int32_t *y, std::size_t p,
+                         int ishift, double *out, std::size_t len)
 {
+    // idctPrefixNeon's accumulation seeded with the rounding term;
+    // sshl by -ishift is the arithmetic right shift and xtn keeps the
+    // low 32 bits, exactly the scalar int32 cast.
+    const int64x2_t round = vdupq_n_s64(std::int64_t{1} << (ishift - 1));
+    const int64x2_t shift = vdupq_n_s64(-ishift);
     const float64x2_t scale = vdupq_n_f64(0x1p-15);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const int64x2_t v = vmovl_s32(vld1_s32(x + i));
-        vst1q_f64(out + i, vmulq_f64(vcvtq_f64_s64(v), scale));
+    for (std::size_t i = 0; i < len; i += 4) {
+        int64x2_t accLo = round;
+        int64x2_t accHi = round;
+        for (std::size_t k = 0; k < p; ++k) {
+            const int32x4_t row = vld1q_s32(m + k * n + i);
+            accLo = vaddq_s64(
+                accLo, vmull_n_s32(vget_low_s32(row), y[k]));
+            accHi = vaddq_s64(
+                accHi, vmull_n_s32(vget_high_s32(row), y[k]));
+        }
+        const int32x2_t lo = vmovn_s64(vshlq_s64(accLo, shift));
+        const int32x2_t hi = vmovn_s64(vshlq_s64(accHi, shift));
+        double lanes[4];
+        vst1q_f64(lanes,
+                  vmulq_f64(vcvtq_f64_s64(vmovl_s32(lo)), scale));
+        vst1q_f64(lanes + 2,
+                  vmulq_f64(vcvtq_f64_s64(vmovl_s32(hi)), scale));
+        std::memcpy(out + i, lanes,
+                    std::min<std::size_t>(4, len - i) * sizeof(double));
     }
-    for (; i < n; ++i)
-        out[i] = std::ldexp(static_cast<double>(x[i]), -15);
 }
 
 void
@@ -477,21 +531,23 @@ idctPrefixInto(const std::int32_t *m, std::size_t n,
 }
 
 void
-dequantizeQ15Into(const std::int32_t *x, std::size_t n, double *out)
+idctPrefixDequantizeInto(const std::int32_t *m, std::size_t n,
+                         const std::int32_t *y, std::size_t p,
+                         int ishift, double *out, std::size_t len)
 {
-    switch (activeBackend()) {
+    switch (n % 4 == 0 ? activeBackend() : Backend::Scalar) {
 #if COMPAQT_SIMD_X86
     case Backend::Avx2:
-        dequantizeQ15Avx2(x, n, out);
+        idctPrefixDequantizeAvx2(m, n, y, p, ishift, out, len);
         return;
 #endif
 #if COMPAQT_SIMD_NEON
     case Backend::Neon:
-        dequantizeQ15Neon(x, n, out);
+        idctPrefixDequantizeNeon(m, n, y, p, ishift, out, len);
         return;
 #endif
     default:
-        dequantizeQ15Scalar(x, n, out);
+        idctPrefixDequantizeScalar(m, n, y, p, ishift, out, len);
         return;
     }
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Runtime-dispatched SIMD decode kernels — the arithmetic inner loops
- * of every decode path (int-DCT inverse, float DCT inverse, Q15
- * dequantize, delta sign-magnitude expansion, RLE zero runs) behind
- * one backend switch.
+ * of every decode path (int-DCT inverse, the fused int-DCT window
+ * decode, float DCT inverse, delta sign-magnitude expansion, RLE zero
+ * runs) behind one backend switch.
  *
  * The HEVC-style integer transform of Section IV-C was designed for
  * wide fixed-point SIMD: 32-bit coefficient lanes with 64-bit
@@ -97,10 +97,21 @@ void idctPrefixInto(const std::int32_t *m, std::size_t n,
                     const std::int32_t *y, std::size_t p, int ishift,
                     std::int32_t *x);
 
-/** Q15 -> normalized double: out[i] = x[i] * 2^-15 (exact in binary
- *  floating point, so bit-exact across backends). */
-void dequantizeQ15Into(const std::int32_t *x, std::size_t n,
-                       double *out);
+/**
+ * The int-dct window decode in one dispatch: the prefix-sparse IDCT
+ * of idctPrefixInto, narrowed to int32, then converted from Q15 to
+ * normalized doubles, written straight to `out` for the first `len`
+ * outputs: out[i] = int32((sum_{k<p} m[k*n+i]*y[k] + round) >>
+ * ishift) * 2^-15. Bit-exact on every backend with
+ * dsp::IntDct::inverse followed by dsp::IntDct::dequantize, for any
+ * int32 coefficients: the narrowing wraps exactly as the scalar cast
+ * does, and int32 -> double and the power-of-two scale are exact.
+ * @pre 1 <= ishift <= 32, len <= n; n a multiple of 4 for the vector
+ *      paths (the dispatcher falls back to scalar otherwise)
+ */
+void idctPrefixDequantizeInto(const std::int32_t *m, std::size_t n,
+                              const std::int32_t *y, std::size_t p,
+                              int ishift, double *out, std::size_t len);
 
 /**
  * Prefix-sparse float IDCT: x[i] = sum_{k<p} basis[k*n+i] * y[k],

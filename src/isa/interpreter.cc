@@ -8,24 +8,6 @@
 namespace compaqt::isa
 {
 
-namespace
-{
-
-const core::CompressedEntry &
-resolveGate(const runtime::VersionedLibrary &vlib,
-            const InstructionProgram &prog, std::uint16_t ref)
-{
-    const waveform::GateId &id = prog.gate(ref);
-    const core::CompressedEntry *entry = vlib.find(id);
-    if (!entry)
-        throw std::invalid_argument(
-            "isa: program references a gate the pinned library does"
-            " not hold");
-    return *entry;
-}
-
-} // namespace
-
 InterpreterResult
 Interpreter::run(const InstructionProgram &prog)
 {
@@ -42,6 +24,35 @@ Interpreter::run(const InstructionProgram &prog)
             " but the interpreter is pinned to version " +
             std::to_string(vlib_.version) +
             " — recompile after the hot-swap");
+    // The gate table resolves lazily against the pinned library, at
+    // most one lookup per entry per run: a gate the library lacks
+    // throws at the first instruction that uses it.
+    gates_.assign(prog.gateTable().size(), ResolvedGate{});
+    const auto resolve = [&](std::uint16_t ref) -> const ResolvedGate & {
+        ResolvedGate &g = gates_[ref];
+        if (!g.entry) {
+            g.entry = vlib_.find(prog.gate(ref));
+            if (!g.entry)
+                throw std::invalid_argument(
+                    "isa: program references a gate the pinned"
+                    " library does not hold");
+            g.windows[0] = g.entry->cw.i.numWindows();
+            g.windows[1] = g.entry->cw.q.numWindows();
+        }
+        return g;
+    };
+    // A PLAY or PREFETCH past its channel's window grid is a corrupt
+    // program: reject it before anything decodes or is recorded.
+    const auto checkGrid = [&](const ResolvedGate &g, std::uint16_t ref,
+                               std::uint8_t ch, std::size_t end) {
+        if (end > g.windows[ch])
+            throw std::invalid_argument(
+                "isa: " + waveform::toString(prog.gate(ref)) +
+                " channel " + (ch == 0 ? "I" : "Q") + " has " +
+                std::to_string(g.windows[ch]) +
+                " windows; the program addresses window " +
+                std::to_string(end - 1));
+    };
     InterpreterResult res;
     // Per-op dwell tracing: the enable flag is read once per run (a
     // mid-run toggle catches the next program), so the disabled-path
@@ -61,9 +72,8 @@ Interpreter::run(const InstructionProgram &prog)
         switch (in.op) {
         case Opcode::Play: {
             ++res.stats.plays;
-            const waveform::GateId &id = prog.gate(in.gateRef);
-            const core::CompressedEntry &entry =
-                resolveGate(vlib_, prog, in.gateRef);
+            const ResolvedGate &g = resolve(in.gateRef);
+            const core::CompressedEntry &entry = *g.entry;
             const std::uint32_t first = in.playFirst();
             std::uint32_t count = in.playCount();
             // The event's I-channel PLAY (first chunk) carries the
@@ -116,24 +126,29 @@ Interpreter::run(const InstructionProgram &prog)
                     trace.record(e);
                 }
             }
+            checkGrid(g, in.gateRef, in.channel,
+                      std::size_t{first} + count);
             if (player_.decodes() && count > 0)
-                player_.playWindows(id, entry, in.channel, first,
-                                    count, res.play);
+                player_.playWindows(prog.gate(in.gateRef), entry,
+                                    in.channel, first, count, res.play);
             break;
         }
         case Opcode::Wait:
             ++res.stats.waits;
             res.stats.idleCycles += in.arg;
             break;
-        case Opcode::Prefetch:
+        case Opcode::Prefetch: {
             // Only an event for the model: whether it warms a cold
             // window is decided when the grid replays the cell's log.
             ++res.stats.prefetches;
-            player_.prefetchWindow(prog.gate(in.gateRef),
-                                   resolveGate(vlib_, prog, in.gateRef),
+            const ResolvedGate &g = resolve(in.gateRef);
+            checkGrid(g, in.gateRef, in.channel,
+                      std::size_t{in.prefetchWindow()} + 1);
+            player_.prefetchWindow(prog.gate(in.gateRef), *g.entry,
                                    in.channel, in.prefetchWindow(),
                                    in.prefetchTier());
             break;
+        }
         case Opcode::Barrier:
             ++res.stats.barriers;
             break;

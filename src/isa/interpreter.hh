@@ -15,6 +15,7 @@
 #define COMPAQT_ISA_INTERPRETER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "isa/isa.hh"
 #include "runtime/playback.hh"
@@ -82,20 +83,34 @@ class Interpreter
 
     /**
      * Run `prog` to its HALT (or the end of the code stream).
+     * Each gate-table entry is looked up in the pinned library at
+     * most once per run, on first use.
      * @throws std::invalid_argument when the program's library-
      *         version stamp names a calibration other than the
      *         pinned one (an unstamped program — version 0 — is
      *         accepted, matching pre-stamp streams), or when a
      *         PLAY/PREFETCH references a gate the pinned library
-     *         does not hold — programs are compiled against a
-     *         concrete library, so a mismatch is a corrupt, stale,
-     *         or misrouted program, not a soft miss
+     *         does not hold or windows past its channel's grid —
+     *         programs are compiled against a concrete library, so
+     *         a mismatch is a corrupt, stale, or misrouted program,
+     *         not a soft miss. Thrown at the first instruction that
+     *         uses the gate or range, before it plays.
      */
     InterpreterResult run(const InstructionProgram &prog);
 
   private:
+    /** One gate-table entry resolved against the pinned library,
+     *  with its I and Q window counts. */
+    struct ResolvedGate
+    {
+        const core::CompressedEntry *entry = nullptr;
+        std::size_t windows[2] = {0, 0};
+    };
+
     runtime::VersionedLibrary vlib_;
     runtime::WindowPlayer player_;
+    /** Per-run gate table, reused across runs. */
+    std::vector<ResolvedGate> gates_;
 };
 
 } // namespace compaqt::isa

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
+#include "telemetry/metrics.hh"
+
 namespace compaqt::runtime
 {
 
@@ -11,46 +14,64 @@ WindowPlayer::playWindows(const waveform::GateId &id,
                           std::uint8_t ch, std::uint32_t first,
                           std::uint32_t count, PlaybackCounters &c)
 {
+    // Playback's kernel work, added once per range:
+    // ceil(count / kBatchWindows) batches and count windows.
+    static telemetry::Counter &batches =
+        telemetry::Registry::global().counter("decode.kernel.batches");
+    static telemetry::Counter &windows =
+        telemetry::Registry::global().counter("decode.kernel.windows");
+
     const auto &cw = entry.cw;
     const core::CompressedChannel &channel = ch == 0 ? cw.i : cw.q;
     const std::size_t ws = channel.windowSize;
-    if (scratch_.size() < ws * kBatchWindows)
-        scratch_.resize(ws * kBatchWindows);
     const std::uint32_t end = first + count;
-    for (std::uint32_t w = first; w < end;) {
-        const auto run = std::min<std::uint32_t>(kBatchWindows, end - w);
-        c.samples += dec_.decodeWindowsInto(
-            channel, cw.codec, w, run,
-            SampleSpan(scratch_.data(), scratch_.size()));
-        w += run;
-    }
-    c.windows += count;
+    COMPAQT_REQUIRE(end <= channel.numWindows(),
+                    "play range outside the channel's window grid");
+    const std::size_t cap = ws * kBatchWindows;
+    if (scratch_.size() < cap)
+        scratch_.resize(cap);
+    const SampleSpan scratch(scratch_.data(), cap);
+    const core::ICodec &codec = dec_.resolve(cw.codec, ws);
+    // Decode `n` consecutive windows of one (sub-)channel, starting
+    // at its window `local`, in scratch-sized batches.
+    const auto decode = [&](const core::CompressedChannel &sub,
+                            std::size_t local, std::size_t n) {
+        for (std::size_t j = 0; j < n; j += kBatchWindows)
+            c.samples += codec.decodeWindowsInto(
+                sub, local + j,
+                std::min<std::size_t>(kBatchWindows, n - j), scratch);
+    };
 
     if (!channel.isAdaptive()) {
+        decode(channel, first, count);
         record(id, entry, ch, first, count, false, 0);
-        return;
+    } else {
+        // One walk of the window-aligned segments: a flat run is a
+        // constant fill counted as bypassed (a flat window never
+        // occupies the model); a ramp run decodes on its segment's
+        // sub-channel and records its event.
+        channel.forEachSegmentRun(
+            first, end,
+            [&](const core::AdaptiveSegment &seg, std::size_t lo,
+                std::size_t hi, std::size_t local) {
+                if (!seg.isFlat) {
+                    decode(seg.windows, local, hi - lo);
+                    record(id, entry, ch, static_cast<std::uint32_t>(lo),
+                           static_cast<std::uint32_t>(hi - lo), false, 0);
+                    return;
+                }
+                const std::size_t n =
+                    std::min(hi * ws, channel.numSamples) - lo * ws;
+                for (std::size_t done = 0; done < n; done += cap)
+                    std::fill_n(scratch_.data(), std::min(cap, n - done),
+                                seg.value);
+                c.samples += n;
+                c.bypassed += n;
+            });
     }
-    // Adaptive channel: the decode above already served flat windows
-    // as constant fills. Walk the window-aligned segments once to
-    // count those samples as bypassed and to record only the ramp
-    // runs — a flat window never occupies the model.
-    std::uint32_t begin = 0;
-    for (const core::AdaptiveSegment &seg : channel.segments) {
-        if (begin >= end)
-            break;
-        const auto span =
-            static_cast<std::uint32_t>((seg.samples() + ws - 1) / ws);
-        const std::uint32_t lo = std::max(first, begin);
-        const std::uint32_t hi = std::min(end, begin + span);
-        begin += span;
-        if (lo >= hi)
-            continue;
-        if (seg.isFlat)
-            c.bypassed += std::min(hi * ws, channel.numSamples) -
-                          std::min(lo * ws, channel.numSamples);
-        else
-            record(id, entry, ch, lo, hi - lo, false, 0);
-    }
+    c.windows += count;
+    batches.add((count + kBatchWindows - 1) / kBatchWindows);
+    windows.add(count);
 }
 
 void

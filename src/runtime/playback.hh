@@ -2,9 +2,11 @@
  * @file
  * The one window-playback loop both execution back ends share: decode
  * a range of windows of one gate channel straight into reused scratch
- * through the batch decode kernel, with adaptive flat windows served
- * as constant fills through the IDCT bypass. Every play decodes; the
- * rack's waveform-memory model never sits on the sample path.
+ * in one pass — the codec resolved once, the channel's segment map
+ * walked once, ramp runs batch-decoded by the codec and adaptive flat
+ * runs served as constant fills through the IDCT bypass. Every play
+ * decodes; the rack's waveform-memory model never sits on the sample
+ * path.
  *
  * Inside RuntimeService's grid a player also records what it played —
  * one WindowEvent per range, one per PREFETCH — into its cell's log,
@@ -49,11 +51,12 @@ class WindowPlayer
 {
   public:
     /**
-     * Windows decoded per batch: a range decodes in kBatchWindows
-     * chunks. 8 windows keeps the scratch footprint at a few KB while
-     * amortizing the per-batch dispatch (codec resolution, counter
-     * bumps, virtual call) well past the point of diminishing
-     * returns — the decode bench's K sweep quantifies that curve.
+     * Windows per batch: the scratch holds kBatchWindows windows, and
+     * a run of one (sub-)channel decodes in chunks of that many. 8
+     * windows keeps the scratch footprint at a few KB while
+     * amortizing the per-batch virtual call well past the point of
+     * diminishing returns — the decode bench's K sweep quantifies
+     * that curve.
      */
     static constexpr std::uint32_t kBatchWindows = 8;
 
@@ -80,7 +83,13 @@ class WindowPlayer
     /**
      * Play windows [first, first + count) of channel `ch` (0 = I,
      * 1 = Q) of `entry`, accumulating windows/samples/bypassed into
-     * `c`. @pre the range is within the channel's window grid
+     * `c`. One pass: the codec is resolved once, an adaptive
+     * channel's segments are walked once, and every sample — flat
+     * fills included — is written to the scratch. Adds the range's
+     * batches (ceil(count / kBatchWindows)) and windows to the
+     * decode.kernel.* counters once.
+     * @pre the range is within the channel's window grid (a range
+     *      past it panics; isa::Interpreter rejects one up front)
      */
     void playWindows(const waveform::GateId &id,
                      const core::CompressedEntry &entry,
@@ -91,7 +100,7 @@ class WindowPlayer
      * The PREFETCH op's body: record a prefetch of one window with
      * the compiler's tier hint (0 fast, 1 slow). Flat bypass windows
      * never occupy the model and record nothing; so does a player
-     * without a log.
+     * without a log. @pre window is within the channel's window grid
      */
     void prefetchWindow(const waveform::GateId &id,
                         const core::CompressedEntry &entry,

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -300,13 +303,15 @@ TEST_P(IntDctSizes, ButterflyMatchesDenseInverse)
 
 TEST_P(IntDctSizes, PrefixInverseMatchesDenseInverse)
 {
-    // The prefix-sparse inverse (the decode-plane hot kernel) must be
-    // bit-exact with the dense product on the zero-extended window,
-    // at every possible prefix length including 0 and n.
+    // The prefix-sparse window decode (the decode-plane hot kernel)
+    // must be bit-exact with the dense product on the zero-extended
+    // window followed by dequantize, at every possible prefix length
+    // including 0 and n.
     const std::size_t n = GetParam();
     Rng rng(300 + n);
     IntDct xform(n);
-    std::vector<std::int32_t> y(n), a(n), b(n);
+    std::vector<std::int32_t> y(n), a(n);
+    std::vector<double> b(n);
     for (std::size_t prefix = 0; prefix <= n; ++prefix) {
         for (int trial = 0; trial < 10; ++trial) {
             for (std::size_t k = 0; k < n; ++k)
@@ -316,10 +321,10 @@ TEST_P(IntDctSizes, PrefixInverseMatchesDenseInverse)
                                  32768
                            : 0;
             xform.inverse(y, a);
-            xform.inversePrefix(
+            xform.decodePrefix(
                 std::span<const std::int32_t>(y).first(prefix), b);
             for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(a[i], b[i])
+                EXPECT_EQ(IntDct::dequantize(a[i]), b[i])
                     << "n=" << n << " prefix=" << prefix
                     << " i=" << i;
         }
@@ -607,9 +612,9 @@ TEST(Simd, IdctPrefixBitIdenticalAcrossBackends)
 
 TEST(Simd, IntDctClassPathBitIdenticalAcrossBackends)
 {
-    // Same contract through the public IntDct entry points (what the
-    // codecs actually call): dense inverse and prefix inverse under
-    // each backend match the scalar-forced result exactly.
+    // Same contract through the public IntDct entry point the codec
+    // calls: the prefix window decode under each backend matches the
+    // scalar-forced result exactly.
     for (const std::size_t n : {4u, 8u, 16u, 32u}) {
         Rng rng(910 + n);
         IntDct xform(n);
@@ -620,14 +625,14 @@ TEST(Simd, IntDctClassPathBitIdenticalAcrossBackends)
         for (std::size_t p = 0; p <= n; ++p) {
             const auto prefix =
                 std::span<const std::int32_t>(y).first(p);
-            std::vector<std::int32_t> golden(n), out(n);
+            std::vector<double> golden(n), out(n);
             {
                 BackendGuard g(simd::Backend::Scalar);
-                xform.inversePrefix(prefix, golden);
+                xform.decodePrefix(prefix, golden);
             }
             for (simd::Backend b : supportedBackends()) {
                 BackendGuard g(b);
-                xform.inversePrefix(prefix, out);
+                xform.decodePrefix(prefix, out);
                 EXPECT_EQ(out, golden)
                     << "n=" << n << " p=" << p << " backend "
                     << simd::backendName(b);
@@ -636,32 +641,101 @@ TEST(Simd, IntDctClassPathBitIdenticalAcrossBackends)
     }
 }
 
+/** A coefficient drawn from the whole int32 range. */
+std::int32_t
+anyInt32(Rng &rng)
+{
+    return static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(rng.next()));
+}
+
+TEST(Simd, FusedIdctDequantizeMatchesInverseThenDequantize)
+{
+    // The fused window-decode kernel against its definition: scalar
+    // IntDct::inverse on the zero-extended window, then
+    // IntDct::dequantize per sample. Every backend, size, prefix
+    // 0..n and output length 1..n (tail windows), on coefficients
+    // from the whole int32 range: a library from outside may carry
+    // any int32, and the shifted sum then overflows int32 and must
+    // wrap exactly as the scalar cast does. Outputs past `len` stay
+    // untouched.
+    constexpr double kSentinel = -7.0;
+    for (const std::size_t n : {4u, 8u, 16u, 32u}) {
+        Rng rng(940 + n);
+        IntDct xform(n);
+        std::vector<std::int32_t> m(n * n);
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t i = 0; i < n; ++i)
+                m[k * n + i] = xform.coeff(k, i);
+        std::vector<std::vector<std::int32_t>> draws = {
+            std::vector<std::int32_t>(n, INT32_MIN),
+            std::vector<std::int32_t>(n, INT32_MAX)};
+        std::vector<std::int32_t> alternating(n);
+        for (std::size_t k = 0; k < n; ++k)
+            alternating[k] = k % 2 ? INT32_MIN : INT32_MAX;
+        draws.push_back(alternating);
+        for (int trial = 0; trial < 6; ++trial) {
+            std::vector<std::int32_t> y(n);
+            for (auto &v : y)
+                v = trial % 2 ? anyInt32(rng)
+                              : static_cast<std::int32_t>(
+                                    rng.uniformInt(65536)) -
+                                    32768;
+            draws.push_back(y);
+        }
+        for (const auto &y : draws) {
+            for (std::size_t p = 0; p <= n; ++p) {
+                std::vector<std::int32_t> ext(n, 0), x(n);
+                std::copy_n(y.begin(), p, ext.begin());
+                std::vector<double> golden(n);
+                {
+                    BackendGuard g(simd::Backend::Scalar);
+                    xform.inverse(ext, x);
+                }
+                for (std::size_t i = 0; i < n; ++i)
+                    golden[i] = IntDct::dequantize(x[i]);
+                for (simd::Backend b : supportedBackends()) {
+                    BackendGuard g(b);
+                    for (std::size_t len = 1; len <= n; ++len) {
+                        std::vector<double> out(n, kSentinel);
+                        simd::idctPrefixDequantizeInto(
+                            m.data(), n, y.data(), p,
+                            xform.inverseShift(), out.data(), len);
+                        for (std::size_t i = 0; i < n; ++i) {
+                            const double want =
+                                i < len ? golden[i] : kSentinel;
+                            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                                      std::bit_cast<std::uint64_t>(want))
+                                << "n=" << n << " p=" << p
+                                << " len=" << len << " i=" << i
+                                << " backend " << simd::backendName(b);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(Simd, PointwiseConversionsBitIdenticalAcrossBackends)
 {
-    // Q15 dequantize and sign-magnitude expansion are bit-exact on
-    // any length, including the odd tails the vector paths peel.
+    // Sign-magnitude expansion is bit-exact on any length, including
+    // the odd tails the vector paths peel.
     Rng rng(920);
     for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 15u, 33u,
                                 128u}) {
-        std::vector<std::int32_t> q(n), sm(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            q[i] = static_cast<std::int32_t>(rng.uniformInt(65536)) -
-                   32768;
+        std::vector<std::int32_t> sm(n);
+        for (std::size_t i = 0; i < n; ++i)
             sm[i] =
                 static_cast<std::int32_t>(rng.uniformInt(0x10000));
-        }
-        std::vector<double> gq(n), gs(n), oq(n), os(n);
+        std::vector<double> gs(n), os(n);
         {
             BackendGuard g(simd::Backend::Scalar);
-            simd::dequantizeQ15Into(q.data(), n, gq.data());
             simd::signMagnitudeToDoubles(sm.data(), n, gs.data());
         }
         for (simd::Backend b : supportedBackends()) {
             BackendGuard g(b);
-            simd::dequantizeQ15Into(q.data(), n, oq.data());
             simd::signMagnitudeToDoubles(sm.data(), n, os.data());
-            EXPECT_EQ(oq, gq)
-                << "n=" << n << " backend " << simd::backendName(b);
             EXPECT_EQ(os, gs)
                 << "n=" << n << " backend " << simd::backendName(b);
         }

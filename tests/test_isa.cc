@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -776,6 +777,93 @@ TEST(IsaExecution, InterpreterRejectsForeignPrograms)
     Interpreter interp(rack);
     EXPECT_THROW(interp.run(prog), std::invalid_argument);
 }
+
+/** One malformed PLAY/PREFETCH: which channel it addresses and how
+ *  it overruns that channel's window grid. */
+struct OutOfGridShape
+{
+    const char *name;
+    bool adaptive; ///< on an adaptive channel (else a plain one)
+    /** PLAY windows [nwin - 1, nwin + 1) of an nwin-window I channel,
+     *  or PREFETCH window nwin of it. */
+    bool prefetch;
+    /** PREFETCH past the Q grid too: window nwin + the Q window
+     *  count. */
+    bool pastBoth = false;
+};
+
+void
+PrintTo(const OutOfGridShape &shape, std::ostream *os)
+{
+    *os << shape.name;
+}
+
+class InterpreterOutOfGrid
+    : public ::testing::TestWithParam<OutOfGridShape>
+{
+};
+
+TEST_P(InterpreterOutOfGrid, ThrowsBeforeAnythingPlays)
+{
+    // A hand-built program, round-tripped through the word format,
+    // whose only op overruns its channel's window grid: the
+    // interpreter must reject it with a typed error before decoding
+    // or recording anything — never abort the process, and never
+    // key an I window past the grid as a Q window.
+    const OutOfGridShape &shape = GetParam();
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    const auto compiled =
+        core::CompressionPipeline::with("int-dct")
+            .window(16)
+            .mseTarget(1e-5)
+            .planAdaptive()
+            .build()
+            .compileLibrary(waveform::PulseLibrary::build(dev));
+    const auto &clib = compiled.library;
+    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+
+    const waveform::GateId *id = nullptr;
+    const core::CompressedEntry *entry = nullptr;
+    for (const auto &[gid, e] : clib.entries())
+        if (e.cw.i.isAdaptive() == shape.adaptive &&
+            e.cw.i.numWindows() > 1) {
+            id = &gid;
+            entry = &e;
+            break;
+        }
+    ASSERT_NE(entry, nullptr);
+    const auto nwin = static_cast<std::uint32_t>(entry->cw.i.numWindows());
+    const auto qwin = static_cast<std::uint32_t>(entry->cw.q.numWindows());
+
+    InstructionProgram built;
+    const auto ref = built.internGate(*id);
+    if (!shape.prefetch)
+        built.emit(Instruction::play(ref, 0,
+                                     static_cast<std::uint16_t>(nwin - 1),
+                                     2));
+    else
+        built.emit(Instruction::prefetch(
+            ref, 0, nwin + (shape.pastBoth ? qwin : 0)));
+    built.emit(Instruction::halt());
+    const auto prog = InstructionProgram::fromWords(built.toWords());
+
+    runtime::WindowEventLog log;
+    Interpreter interp(rack, rack.currentLibrary(), &log);
+    EXPECT_THROW(interp.run(prog), std::invalid_argument);
+    EXPECT_TRUE(log.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, InterpreterOutOfGrid,
+    ::testing::Values(
+        OutOfGridShape{"PlainPlay", false, false},
+        OutOfGridShape{"AdaptivePlay", true, false},
+        OutOfGridShape{"AdaptivePrefetch", true, true},
+        OutOfGridShape{"PrefetchPastIIntoQ", false, true},
+        OutOfGridShape{"PrefetchPastBothChannels", false, true, true}),
+    [](const ::testing::TestParamInfo<OutOfGridShape> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(IsaProgram, WordStreamCarriesLibraryVersionStamp)
 {

@@ -24,6 +24,7 @@
 #include "core/pipeline.hh"
 #include "dsp/int_dct.hh"
 #include "common/executor.hh"
+#include "runtime/playback.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
 #include "runtime/tiered_store.hh"
@@ -1245,6 +1246,139 @@ TEST(RackAdaptive, ControllerPlaybackMatchesGoldenDecoder)
                 << waveform::toString(id) << " sample " << k;
     }
     EXPECT_TRUE(sawAdaptive);
+}
+
+// ---------------------------------------------------- window player
+
+/** Play every (first, count) sub-range of one channel through one
+ *  player, and the same windows one at a time through a second: the
+ *  counters must match each other and the segment map, the range must
+ *  tick decode.kernel.* by its batches once, and the two event logs
+ *  must be identical and replay into fresh models with identical
+ *  counters. */
+void
+expectRangesMatchOneWindowPlays(const Rack &rack,
+                                const waveform::GateId &id,
+                                const core::CompressedEntry &e,
+                                std::uint8_t ch)
+{
+    constexpr std::uint32_t kBatch = WindowPlayer::kBatchWindows;
+    const core::CompressedChannel &channel = ch == 0 ? e.cw.i : e.cw.q;
+    const auto n = static_cast<std::uint32_t>(channel.numWindows());
+    const VersionedLibrary vlib = rack.currentLibrary();
+    WindowEventLog ranged, single;
+    WindowPlayer a(rack, vlib, &ranged);
+    WindowPlayer b(rack, vlib, &single);
+    auto &batches =
+        telemetry::Registry::global().counter("decode.kernel.batches");
+    auto &windows =
+        telemetry::Registry::global().counter("decode.kernel.windows");
+    for (std::uint32_t first = 0; first < n; ++first)
+        for (std::uint32_t count = 1; first + count <= n; ++count) {
+            const std::string tag = waveform::toString(id) + " ch" +
+                                    std::to_string(ch) + " [" +
+                                    std::to_string(first) + ", +" +
+                                    std::to_string(count) + ")";
+            ranged.clear();
+            single.clear();
+            PlaybackCounters ca, cb, want;
+            std::uint32_t flat = 0;
+            const std::uint64_t b0 = batches.value();
+            const std::uint64_t w0 = windows.value();
+            a.playWindows(id, e, ch, first, count, ca);
+            EXPECT_EQ(batches.value() - b0, (count + kBatch - 1) / kBatch)
+                << tag;
+            EXPECT_EQ(windows.value() - w0, count) << tag;
+            for (std::uint32_t w = first; w < first + count; ++w) {
+                b.playWindows(id, e, ch, w, 1, cb);
+                const std::size_t len = channel.windowSamples(w);
+                std::size_t local = 0;
+                want.samples += len;
+                if (channel.isAdaptive() &&
+                    channel.segmentForWindow(w, local).isFlat) {
+                    want.bypassed += len;
+                    ++flat;
+                }
+            }
+            want.windows = count;
+            for (const PlaybackCounters *c : {&ca, &cb}) {
+                EXPECT_EQ(c->gates, 0u) << tag;
+                EXPECT_EQ(c->windows, want.windows) << tag;
+                EXPECT_EQ(c->samples, want.samples) << tag;
+                EXPECT_EQ(c->bypassed, want.bypassed) << tag;
+            }
+            ASSERT_EQ(ranged.size(), single.size()) << tag;
+            for (std::size_t i = 0; i < ranged.size(); ++i) {
+                const WindowEvent &x = ranged[i], &y = single[i];
+                EXPECT_TRUE(x.gate == y.gate && x.prefetch == y.prefetch &&
+                            x.first == y.first && x.count == y.count &&
+                            x.iWindows == y.iWindows &&
+                            x.windows == y.windows &&
+                            x.windowSize == y.windowSize &&
+                            x.libVersion == y.libVersion)
+                    << tag << " event " << i;
+            }
+            TieredWindowStore ma(rack.cache().config());
+            TieredWindowStore mb(rack.cache().config());
+            const auto ra = replayLog(ma, ranged);
+            const auto rb = replayLog(mb, single);
+            EXPECT_EQ(ra.hits, rb.hits) << tag;
+            EXPECT_EQ(ra.misses, rb.misses) << tag;
+            EXPECT_EQ(ra.evictions, rb.evictions) << tag;
+            EXPECT_EQ(ra.entries, rb.entries) << tag;
+            // A cold model misses every ramp window once; flat windows
+            // never enter it.
+            EXPECT_EQ(ra.misses, count - flat) << tag;
+        }
+}
+
+TEST(WindowPlayer, RangePlaysMatchOneWindowPlays)
+{
+    // The player's one-pass walk over every sub-range of an adaptive
+    // channel (ramp, flat, ramp — each longer than a batch, so ranges
+    // start and end inside flat and ramp segments and span several
+    // kBatchWindows chunks) and of a long plain channel.
+    constexpr std::size_t kBatch = WindowPlayer::kBatchWindows;
+    const AdaptiveRackFixture fx;
+    const Rack adaptive = fx.makeRack(4096);
+    const auto longest = [](const core::CompressedChannel &c,
+                            bool flat) {
+        std::size_t best = 0;
+        for (const auto &seg : c.segments)
+            if (seg.isFlat == flat)
+                best = std::max(best, (seg.samples() + c.windowSize - 1) /
+                                          c.windowSize);
+        return best;
+    };
+    bool played_adaptive = false;
+    for (const auto &[id, e] : fx.compiled.library.entries()) {
+        if (!e.cw.i.isAdaptive() || longest(e.cw.i, true) <= kBatch ||
+            longest(e.cw.i, false) <= kBatch)
+            continue;
+        expectRangesMatchOneWindowPlays(adaptive, id, e, 0);
+        played_adaptive = true;
+        break;
+    }
+    EXPECT_TRUE(played_adaptive);
+
+    const auto plain_lib =
+        buildCompressed(waveform::PulseLibrary::build(fx.dev));
+    RackConfig rc;
+    rc.numShards = 1;
+    rc.controller = controllerConfig(plain_lib);
+    rc.cacheWindows = 4096;
+    const Rack plain(fx.dev, plain_lib, rc);
+    const waveform::GateId *best_id = nullptr;
+    const core::CompressedEntry *best = nullptr;
+    for (const auto &[id, e] : plain_lib.entries())
+        if (!best || e.cw.q.numWindows() > best->cw.q.numWindows()) {
+            best_id = &id;
+            best = &e;
+        }
+    ASSERT_NE(best, nullptr);
+    ASSERT_FALSE(best->cw.q.isAdaptive());
+    ASSERT_GT(best->cw.q.numWindows(), 2 * kBatch);
+    expectRangesMatchOneWindowPlays(plain, *best_id, *best, 1);
 }
 
 // --------------------------------------------------- library registry
