@@ -26,7 +26,10 @@
  * with the player/kernel ratio (player samples/s over the int-dct
  * ws16 k=8 kernel row on the active backend). The same library
  * through Decompressor::decodeWindowsInto in kBatchWindows batches
- * rides along.
+ * rides along. The row also reports the calibration's window shapes:
+ * flat windows (and their samples) served by the IDCT bypass, and
+ * ramp windows by kept-prefix length — empty and DC-only windows are
+ * one constant fill, p >= 2 runs the fused kernel.
  *
  * The bench also instruments global operator new to count heap
  * allocations inside the measured span, batch and playback loops —
@@ -435,8 +438,37 @@ main(int argc, char **argv)
     const runtime::VersionedLibrary vlib = qec_rack.currentLibrary();
     runtime::WindowPlayer player(qec_rack, vlib);
     std::uint64_t qec_windows = 0;
+    // Window shapes: [0] empty prefix, [1] DC only, [2] p >= 2.
+    std::uint64_t flat_windows = 0, flat_samples = 0;
+    std::uint64_t ramp_windows[3] = {0, 0, 0};
+    const auto tally_ramp = [&](const core::CompressedChannel &sub,
+                                std::size_t first, std::size_t end) {
+        for (std::size_t w = first; w < end; ++w)
+            ++ramp_windows[std::min<std::size_t>(
+                sub.windows[w].prefixSize(), 2)];
+    };
     for (const auto &[id, e] : qec_lib->entries())
-        qec_windows += e.cw.i.numWindows() + e.cw.q.numWindows();
+        for (const auto *ch : {&e.cw.i, &e.cw.q}) {
+            const std::size_t n = ch->numWindows();
+            qec_windows += n;
+            if (!ch->isAdaptive()) {
+                tally_ramp(*ch, 0, n);
+                continue;
+            }
+            ch->forEachSegmentRun(
+                0, n,
+                [&](const core::AdaptiveSegment &seg, std::size_t lo,
+                    std::size_t hi, std::size_t local) {
+                    if (!seg.isFlat) {
+                        tally_ramp(seg.windows, local, local + hi - lo);
+                        return;
+                    }
+                    flat_windows += hi - lo;
+                    flat_samples +=
+                        std::min(hi * ch->windowSize, ch->numSamples) -
+                        lo * ch->windowSize;
+                });
+        }
     const auto play_library = [&] {
         runtime::PlaybackCounters c;
         for (const auto &[id, e] : qec_lib->entries())
@@ -495,12 +527,28 @@ main(int argc, char **argv)
                   static_cast<double>(played.allocations));
     report.metric("playback_decompressor_samples_per_sec",
                   decoded.samplesPerSec);
+    report.metric("playback_windows", static_cast<double>(qec_windows));
+    report.metric("playback_flat_windows",
+                  static_cast<double>(flat_windows));
+    report.metric("playback_flat_samples",
+                  static_cast<double>(flat_samples));
+    report.metric("playback_empty_prefix_windows",
+                  static_cast<double>(ramp_windows[0]));
+    report.metric("playback_dc_only_windows",
+                  static_cast<double>(ramp_windows[1]));
+    report.metric("playback_multi_coeff_windows",
+                  static_cast<double>(ramp_windows[2]));
 
     report.print(t);
     std::cout << '\n';
     report.print(bt);
     std::cout << '\n';
     report.print(pt);
+    std::cout << "QEC calibration window shapes: " << qec_windows
+              << " windows = " << flat_windows << " flat ("
+              << flat_samples << " samples) + " << ramp_windows[0]
+              << " empty-prefix + " << ramp_windows[1] << " DC-only + "
+              << ramp_windows[2] << " with p >= 2\n";
 
     std::cout << "\nint-dct ws=16 span-path speedup: "
               << Table::num(int_dct16_speedup, 2)

@@ -6,7 +6,9 @@
  * report wall-clock gates/s and samples/s plus the memory model's
  * counters. Playback decodes every window whatever the model says, so
  * the headline cached/uncached gates-per-second ratio measures what
- * running the model costs a rack replaying hot QEC pulses (1.0 = free).
+ * running the model costs a rack replaying hot QEC pulses (1.0 =
+ * free): the median of per-pair ratios over alternating
+ * modeled/unmodeled batches at the sweep's largest point.
  *
  * Emits BENCH_rack_throughput.json (bench::JsonReport) so the runtime
  * performance trajectory is tracked across PRs.
@@ -26,6 +28,7 @@
 #include "bench_util.hh"
 #include "circuits/scheduler.hh"
 #include "circuits/surface_code.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "power/system.hh"
 #include "runtime/rack.hh"
@@ -65,13 +68,8 @@ makeWorkload(int distance, int batch_size)
             static_cast<std::size_t>(batch_size), sched)};
 }
 
-/** Steady-state run: one warmup batch to fill the model, then the
- *  best of three measured batches (sub-millisecond intervals are at
- *  the mercy of the OS scheduler; best-of-N reports the machine's
- *  capability, not its stalls). */
-runtime::RackStats
-run(const Workload &w, int shards, std::size_t cache_windows,
-    int workers)
+runtime::RackConfig
+rackConfig(const Workload &w, int shards, std::size_t cache_windows)
 {
     runtime::RackConfig rc;
     rc.numShards = shards;
@@ -80,7 +78,19 @@ run(const Workload &w, int shards, std::size_t cache_windows,
     rc.controller.windowSize = 16;
     rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
     rc.cacheWindows = cache_windows;
-    const runtime::Rack rack(w.dev, w.clib, rc);
+    return rc;
+}
+
+/** Steady-state run: one warmup batch to fill the model, then the
+ *  best of three measured batches (sub-millisecond intervals are at
+ *  the mercy of the OS scheduler; best-of-N reports the machine's
+ *  capability, not its stalls). */
+runtime::RackStats
+run(const Workload &w, int shards, std::size_t cache_windows,
+    int workers)
+{
+    const runtime::Rack rack(w.dev, w.clib,
+                             rackConfig(w, shards, cache_windows));
     runtime::RuntimeService svc(rack, {.workers = workers});
     svc.executeBatch(w.batch);
     auto best = svc.executeBatch(w.batch);
@@ -90,6 +100,45 @@ run(const Workload &w, int shards, std::size_t cache_windows,
             best = stats;
     }
     return best;
+}
+
+/** What the model costs, measured in pairs: per-pair ratios of
+ *  modeled over unmodeled gates/s, and each side's gates/s. */
+struct PairedSpeedup
+{
+    std::vector<double> ratios, modeled, unmodeled;
+};
+
+/** `pairs` alternating batches on two warmed racks that differ only
+ *  in the model (the side that runs first alternates too). A pair's
+ *  two batches see the same host period, so the per-pair ratio is
+ *  far steadier than a ratio of independent best-ofs. */
+PairedSpeedup
+pairedSpeedup(const Workload &w, int shards, std::size_t cache_windows,
+              int workers, int pairs)
+{
+    const runtime::Rack bare(w.dev, w.clib, rackConfig(w, shards, 0));
+    const runtime::Rack modeled(w.dev, w.clib,
+                                rackConfig(w, shards, cache_windows));
+    runtime::RuntimeService off(bare, {.workers = workers});
+    runtime::RuntimeService on(modeled, {.workers = workers});
+    off.executeBatch(w.batch);
+    on.executeBatch(w.batch);
+    PairedSpeedup p;
+    for (int i = 0; i < pairs; ++i) {
+        double g_off = 0.0, g_on = 0.0;
+        if (i % 2 == 0) {
+            g_off = off.executeBatch(w.batch).gatesPerSec;
+            g_on = on.executeBatch(w.batch).gatesPerSec;
+        } else {
+            g_on = on.executeBatch(w.batch).gatesPerSec;
+            g_off = off.executeBatch(w.batch).gatesPerSec;
+        }
+        p.ratios.push_back(g_off > 0.0 ? g_on / g_off : 0.0);
+        p.modeled.push_back(g_on);
+        p.unmodeled.push_back(g_off);
+    }
+    return p;
 }
 
 // ---------------------------------------------------------------
@@ -296,6 +345,8 @@ main(int argc, char **argv)
              : std::vector<std::size_t>{0, 4096, 1u << 15};
     const int batch_size = tiny ? 2 : 4;
     const int workers = tiny ? 2 : 4;
+    // Modeled/unmodeled batch pairs behind the speedup median.
+    constexpr int kSpeedupPairs = 11;
     report.setWorkers(workers);
 
     Table t("rack throughput: qubits x shards x cache"
@@ -304,9 +355,9 @@ main(int argc, char **argv)
               "Msamples/s", "hit rate", "hits", "misses", "evict",
               "fleet banks", "feasible"});
 
-    double uncached_best = 0.0, cached_best = 0.0;
     double cached_samples_per_sec = 0.0, cached_hit_rate = 0.0;
-    runtime::DecodedCacheStats cached_best_counters;
+    runtime::DecodedCacheStats cached_counters;
+    PairedSpeedup paired;
     for (const int d : distances) {
         const auto w = makeWorkload(d, batch_size);
         for (const int shards : shard_counts) {
@@ -324,54 +375,62 @@ main(int argc, char **argv)
                        std::to_string(stats.fleetPeakBanks),
                        stats.feasible ? "yes" : "NO"});
                 // Reference point for the speedup ratio: the largest
-                // patch at the widest shard sweep value.
+                // patch at the widest shard sweep value, against the
+                // largest model (the whole working set resident).
                 if (d == distances.back() &&
-                    shards == shard_counts.back()) {
-                    if (cache == 0) {
-                        uncached_best = stats.gatesPerSec;
-                    } else if (stats.gatesPerSec > cached_best) {
-                        cached_best = stats.gatesPerSec;
-                        cached_samples_per_sec = stats.samplesPerSec;
-                        cached_hit_rate = stats.cacheHitRate;
-                        cached_best_counters = stats.cache;
-                    }
+                    shards == shard_counts.back() &&
+                    cache == cache_sizes.back()) {
+                    cached_samples_per_sec = stats.samplesPerSec;
+                    cached_hit_rate = stats.cacheHitRate;
+                    cached_counters = stats.cache;
+                    paired = pairedSpeedup(w, shards, cache, workers,
+                                           kSpeedupPairs);
                 }
             }
         }
     }
     report.print(t);
 
-    const double speedup =
-        uncached_best > 0.0 ? cached_best / uncached_best : 0.0;
-    std::cout << "\nmodeled vs unmodeled rack (gates/s, best of 3"
-                 " batches each; 1.0 = the model is free): "
-              << Table::num(speedup, 2) << "x\n";
+    const auto ratio = percentiles(paired.ratios);
+    const double speedup = ratio.p50;
+    const double ratio_q1 = percentile(paired.ratios, 25.0);
+    const double ratio_q3 = percentile(paired.ratios, 75.0);
+    std::cout << "\nmodeled vs unmodeled rack (gates/s, median of "
+              << kSpeedupPairs
+              << " alternating batch pairs; 1.0 = the model is free): "
+              << Table::num(speedup, 2) << "x (quartiles "
+              << Table::num(ratio_q1, 2) << "-" << Table::num(ratio_q3, 2)
+              << ", range " << Table::num(ratio.min, 2) << "-"
+              << Table::num(ratio.max, 2) << ")\n";
+    report.setEnv("cache_speedup_pairs", kSpeedupPairs);
     report.metric("cache_speedup_gates_per_sec", speedup);
-    report.metric("uncached_gates_per_sec", uncached_best);
-    report.metric("cached_gates_per_sec", cached_best);
+    report.metric("cache_speedup_q1", ratio_q1);
+    report.metric("cache_speedup_q3", ratio_q3);
+    report.metric("uncached_gates_per_sec",
+                  percentile(paired.unmodeled, 50.0));
+    report.metric("cached_gates_per_sec",
+                  percentile(paired.modeled, 50.0));
     report.metric("cached_samples_per_sec", cached_samples_per_sec);
     report.metric("cached_hit_rate", cached_hit_rate);
-    // Per-batch model counters of the fastest modeled configuration,
+    // Per-batch model counters of the reference configuration,
     // tracked alongside throughput.
     report.metric("cached_hits",
-                  static_cast<double>(cached_best_counters.hits));
+                  static_cast<double>(cached_counters.hits));
     report.metric("cached_misses",
-                  static_cast<double>(cached_best_counters.misses));
+                  static_cast<double>(cached_counters.misses));
     report.metric("cached_evictions",
-                  static_cast<double>(cached_best_counters.evictions));
+                  static_cast<double>(cached_counters.evictions));
     report.metric("cached_resident_windows",
-                  static_cast<double>(cached_best_counters.entries));
+                  static_cast<double>(cached_counters.entries));
     // Prefetch counters: the direct path never prefetches, so these
     // are a zero baseline here — the instruction-stream back end's
     // numbers live in BENCH_istream_compile.json for comparison.
     report.metric("cached_prefetches",
-                  static_cast<double>(cached_best_counters.prefetches));
-    report.metric(
-        "cached_prefetch_hits",
-        static_cast<double>(cached_best_counters.prefetchHits));
-    report.metric(
-        "cached_prefetch_wasted",
-        static_cast<double>(cached_best_counters.prefetchWasted));
+                  static_cast<double>(cached_counters.prefetches));
+    report.metric("cached_prefetch_hits",
+                  static_cast<double>(cached_counters.prefetchHits));
+    report.metric("cached_prefetch_wasted",
+                  static_cast<double>(cached_counters.prefetchWasted));
 
     // ---- Hierarchical-store sweep (skewed multi-tenant mix) ----
     const std::size_t ws = 32;

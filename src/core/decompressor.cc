@@ -27,7 +27,7 @@ Decompressor::expandWindowFloatInto(const CompressedWindow &w,
     COMPAQT_REQUIRE(w.fcoeffs.size() + w.zeros == out.size(),
                     "expanded window has wrong size");
     std::copy(w.fcoeffs.begin(), w.fcoeffs.end(), out.begin());
-    dsp::simd::zeroRunDouble(out.data() + w.fcoeffs.size(), w.zeros);
+    dsp::simd::fillDoubles(out.data() + w.fcoeffs.size(), w.zeros, 0.0);
 }
 
 std::vector<std::int32_t>
@@ -153,8 +153,7 @@ Decompressor::decodeChannelInto(const CompressedChannel &ch,
         COMPAQT_REQUIRE(pos + n <= ch.numSamples,
                         "adaptive segments exceed numSamples");
         if (seg.isFlat)
-            std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(pos),
-                        n, seg.value);
+            dsp::simd::fillDoubles(out.data() + pos, n, seg.value);
         else
             c.decodeInto(seg.windows, out.subspan(pos, n));
         pos += n;
@@ -180,7 +179,7 @@ Decompressor::decompressWindowInto(const CompressedChannel &ch,
     std::size_t local = 0;
     const AdaptiveSegment &seg = ch.segmentForWindow(window, local);
     if (seg.isFlat) {
-        std::fill_n(out.begin(), len, seg.value);
+        dsp::simd::fillDoubles(out.data(), len, seg.value);
         return len;
     }
     return codec(codec_name, ch.windowSize)
@@ -231,9 +230,8 @@ Decompressor::decodeWindowsInto(const CompressedChannel &ch,
             COMPAQT_REQUIRE(out.size() >= written + run_len,
                             "window batch output span too small");
             if (seg.isFlat) {
-                std::fill_n(out.begin() +
-                                static_cast<std::ptrdiff_t>(written),
-                            run_len, seg.value);
+                dsp::simd::fillDoubles(out.data() + written, run_len,
+                                       seg.value);
                 written += run_len;
             } else {
                 written += c.decodeWindowsInto(seg.windows, local,

@@ -164,6 +164,20 @@ IntDct::decodePrefix(std::span<const std::int32_t> prefix,
 {
     COMPAQT_REQUIRE(prefix.size() <= n_ && out.size() <= n_,
                     "IntDct::decodePrefix size mismatch");
+    // A window that kept at most its DC term is one constant: row 0
+    // is all 64s, so every sample is the fused kernel's value for
+    // i = 0 (0.0 for an empty prefix), written by one fill. Scaling
+    // by 2^-15 is exact, so it equals dequantize() without its libm
+    // call.
+    if (prefix.size() <= 1) {
+        const std::int64_t dc =
+            prefix.empty() ? 0 : std::int64_t{64} * prefix[0];
+        const std::int64_t round = std::int64_t{1} << (ishift_ - 1);
+        const auto x = static_cast<std::int32_t>((dc + round) >> ishift_);
+        simd::fillDoubles(out.data(), out.size(),
+                          static_cast<double>(x) * 0x1p-15);
+        return;
+    }
     // Column-major walk of the same terms inverse() accumulates; the
     // k >= prefix.size() terms are zero and drop out exactly.
     simd::idctPrefixDequantizeInto(m_.data(), n_, prefix.data(),

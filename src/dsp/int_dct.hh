@@ -98,7 +98,10 @@ class IntDct
      * fewer). This is the decode-plane hot kernel, one fused
      * dsp::simd dispatch: thresholded windows keep only a few
      * coefficients, so skipping the zeros is where COMPAQT's
-     * compression pays off in decode throughput too.
+     * compression pays off in decode throughput too. A prefix of
+     * length <= 1 is a constant window (row 0 of the matrix is all
+     * 64s): one computed value written by dsp::simd::fillDoubles,
+     * bit-exact with the fused kernel.
      * @pre prefix.size() <= size(), out.size() <= size()
      */
     void decodePrefix(std::span<const std::int32_t> prefix,

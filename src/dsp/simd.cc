@@ -232,6 +232,23 @@ signMagnitudeAvx2(const std::int32_t *patterns, std::size_t n,
     }
 }
 
+__attribute__((target("avx2"))) void
+fillAvx2(double *out, std::size_t n, double value)
+{
+    // Every lane holds the same bits, so the last four samples are
+    // one unaligned store that may overlap the loop's final store;
+    // only runs shorter than a vector store one sample at a time.
+    if (n < 4) {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = value;
+        return;
+    }
+    const __m256d v = _mm256_set1_pd(value);
+    for (std::size_t i = 0; i + 4 < n; i += 4)
+        _mm256_storeu_pd(out + i, v);
+    _mm256_storeu_pd(out + n - 4, v);
+}
+
 #endif // COMPAQT_SIMD_X86
 
 // -------------------------------------------------------- NEON kernels
@@ -602,10 +619,18 @@ zeroRunInt32(std::int32_t *out, std::size_t n)
 }
 
 void
-zeroRunDouble(double *out, std::size_t n)
+fillDoubles(double *out, std::size_t n, double value)
 {
-    if (n > 0)
-        std::memset(out, 0, n * sizeof(double));
+    switch (activeBackend()) {
+#if COMPAQT_SIMD_X86
+    case Backend::Avx2:
+        fillAvx2(out, n, value);
+        return;
+#endif
+    default:
+        std::fill_n(out, n, value);
+        return;
+    }
 }
 
 } // namespace compaqt::dsp::simd

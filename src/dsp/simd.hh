@@ -3,7 +3,7 @@
  * Runtime-dispatched SIMD decode kernels — the arithmetic inner loops
  * of every decode path (int-DCT inverse, the fused int-DCT window
  * decode, float DCT inverse, delta sign-magnitude expansion, RLE zero
- * runs) behind one backend switch.
+ * runs, constant fills) behind one backend switch.
  *
  * The HEVC-style integer transform of Section IV-C was designed for
  * wide fixed-point SIMD: 32-bit coefficient lanes with 64-bit
@@ -88,7 +88,7 @@ std::size_t doubleLanes(Backend b);
 /**
  * Prefix-sparse integer IDCT: x[i] = (sum_{k<p} m[k*n+i]*y[k] +
  * round) >> ishift with int64 accumulation — the transposed-matrix
- * times coefficient-prefix product of dsp::IntDct::inversePrefix.
+ * times coefficient-prefix product of dsp::IntDct::inverse.
  * Bit-exact across backends (integer adds commute). p == n is the
  * dense inverse. @pre ishift >= 1; n a multiple of 4 for the vector
  * paths (the dispatcher falls back to scalar otherwise).
@@ -136,9 +136,15 @@ void signMagnitudeToDoubles(const std::int32_t *patterns,
 /** RLE zero-run expansion, integer coefficients (memset fast path). */
 void zeroRunInt32(std::int32_t *out, std::size_t n);
 
-/** RLE zero-run expansion, double samples (+0.0 fill; memset fast
- *  path — the IEEE-754 +0.0 pattern is all-zero bits). */
-void zeroRunDouble(double *out, std::size_t n);
+/**
+ * Constant run: out[i] = value for i < n, bit for bit (a -0.0 or a
+ * NaN payload is copied, never canonicalized). The one kernel behind
+ * every constant the decode plane writes — adaptive flat segments
+ * (the IDCT bypass), int-dct windows whose kept prefix is empty or
+ * DC-only, and float RLE zero runs. AVX2 issues 32-byte broadcast
+ * stores; the scalar path (also NEON's) is std::fill_n.
+ */
+void fillDoubles(double *out, std::size_t n, double value);
 
 } // namespace compaqt::dsp::simd
 

@@ -63,8 +63,31 @@ Interpreter::run(const InstructionProgram &prog)
     auto &trace = telemetry::Trace::global();
     const bool tracing = trace.enabled();
     std::uint64_t op_start = tracing ? trace.nowNs() : 0;
+    const auto span = [&](const Instruction &in, std::size_t pc,
+                          std::uint64_t dur) {
+        telemetry::TraceEvent e;
+        e.startNs = op_start;
+        e.durNs = dur;
+        e.name = opcodeName(in.op);
+        e.cat = "isa";
+        e.arg0Name = "pc";
+        e.arg0 = pc;
+        e.arg1Name = "arg";
+        e.arg1 = in.arg;
+        e.kind = telemetry::EventKind::Complete;
+        trace.record(e);
+    };
     const std::size_t n = prog.numInstructions();
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t i = 0;
+    // An op folded into the streak its head executes still retires on
+    // its own: counted, and traced with zero dwell (the head's span
+    // covers the fused work).
+    const auto retireFolded = [&](const Instruction &nx) {
+        ++res.stats.instructions;
+        if (tracing)
+            span(nx, i, 0);
+    };
+    for (; i < n; ++i) {
         const Instruction in = prog.at(i);
         const std::size_t pc = i;
         ++res.stats.instructions;
@@ -91,10 +114,8 @@ Interpreter::run(const InstructionProgram &prog)
             // the accumulated range ends fold into ONE playWindows
             // call, so the decode side sees the full range and can
             // batch it (longer miss runs, fewer dispatches). Every
-            // folded instruction still retires individually in the
-            // counters and the trace (zero dwell — the head's span
-            // covers the fused work), so instruction-level
-            // accounting is unchanged.
+            // folded instruction still retires individually, so
+            // instruction-level accounting is unchanged.
             while (i + 1 < n) {
                 const Instruction nx = prog.at(i + 1);
                 if (nx.op != Opcode::Play ||
@@ -103,7 +124,6 @@ Interpreter::run(const InstructionProgram &prog)
                     nx.playFirst() != first + count)
                     break;
                 ++i;
-                ++res.stats.instructions;
                 ++res.stats.plays;
                 if (nx.channel == 0 && nx.playFirst() == 0) {
                     ++res.play.gates;
@@ -112,19 +132,7 @@ Interpreter::run(const InstructionProgram &prog)
                             entry.cw.stats().originalSamples;
                 }
                 count += nx.playCount();
-                if (tracing) {
-                    telemetry::TraceEvent e;
-                    e.startNs = op_start;
-                    e.durNs = 0;
-                    e.name = opcodeName(nx.op);
-                    e.cat = "isa";
-                    e.arg0Name = "pc";
-                    e.arg0 = i;
-                    e.arg1Name = "arg";
-                    e.arg1 = nx.arg;
-                    e.kind = telemetry::EventKind::Complete;
-                    trace.record(e);
-                }
+                retireFolded(nx);
             }
             checkGrid(g, in.gateRef, in.channel,
                       std::size_t{first} + count);
@@ -140,13 +148,31 @@ Interpreter::run(const InstructionProgram &prog)
         case Opcode::Prefetch: {
             // Only an event for the model: whether it warms a cold
             // window is decided when the grid replays the cell's log.
+            // A streak of PREFETCHes of consecutive windows of one
+            // (gate, channel, tier) folds into ONE prefetchWindows
+            // call, retiring op by op like a chunked PLAY streak.
             ++res.stats.prefetches;
             const ResolvedGate &g = resolve(in.gateRef);
+            const std::uint32_t first = in.prefetchWindow();
+            std::uint32_t count = 1;
+            while (i + 1 < n) {
+                const Instruction nx = prog.at(i + 1);
+                if (nx.op != Opcode::Prefetch ||
+                    nx.gateRef != in.gateRef ||
+                    nx.channel != in.channel ||
+                    nx.prefetchTier() != in.prefetchTier() ||
+                    nx.prefetchWindow() != first + count)
+                    break;
+                ++i;
+                ++res.stats.prefetches;
+                ++count;
+                retireFolded(nx);
+            }
             checkGrid(g, in.gateRef, in.channel,
-                      std::size_t{in.prefetchWindow()} + 1);
-            player_.prefetchWindow(prog.gate(in.gateRef), *g.entry,
-                                   in.channel, in.prefetchWindow(),
-                                   in.prefetchTier());
+                      std::size_t{first} + count);
+            player_.prefetchWindows(prog.gate(in.gateRef), *g.entry,
+                                    in.channel, first, count,
+                                    in.prefetchTier());
             break;
         }
         case Opcode::Barrier:
@@ -158,18 +184,8 @@ Interpreter::run(const InstructionProgram &prog)
         }
         if (tracing) {
             const std::uint64_t op_end = trace.nowNs();
-            telemetry::TraceEvent e;
-            e.startNs = op_start;
-            e.durNs = op_end - op_start;
+            span(in, pc, op_end - op_start);
             op_start = op_end;
-            e.name = opcodeName(in.op);
-            e.cat = "isa";
-            e.arg0Name = "pc";
-            e.arg0 = pc;
-            e.arg1Name = "arg";
-            e.arg1 = in.arg;
-            e.kind = telemetry::EventKind::Complete;
-            trace.record(e);
         }
         if (halted)
             return res;

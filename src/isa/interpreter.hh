@@ -8,7 +8,11 @@
  * A PREFETCH op only records an event for the rack's waveform-memory
  * model (when the interpreter runs inside RuntimeService's grid with
  * a cell log); the grid's replay decides whether it warmed a cold
- * window. Playback itself always decodes.
+ * window. Playback itself always decodes. Streaks fold: consecutive
+ * PLAYs continuing one (gate, channel) range make one playWindows
+ * call, and consecutive PREFETCHes of consecutive windows of one
+ * (gate, channel, tier) one prefetchWindows call; every folded op
+ * still retires on its own in InterpreterStats and the trace.
  */
 
 #ifndef COMPAQT_ISA_INTERPRETER_HH
@@ -94,7 +98,8 @@ class Interpreter
      *         programs are compiled against a concrete library, so
      *         a mismatch is a corrupt, stale, or misrouted program,
      *         not a soft miss. Thrown at the first instruction that
-     *         uses the gate or range, before it plays.
+     *         uses the gate, or for the whole streak whose range
+     *         overruns, before any of it plays or is recorded.
      */
     InterpreterResult run(const InstructionProgram &prog);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "dsp/simd.hh"
 #include "telemetry/metrics.hh"
 
 namespace compaqt::runtime
@@ -63,8 +64,9 @@ WindowPlayer::playWindows(const waveform::GateId &id,
                 const std::size_t n =
                     std::min(hi * ws, channel.numSamples) - lo * ws;
                 for (std::size_t done = 0; done < n; done += cap)
-                    std::fill_n(scratch_.data(), std::min(cap, n - done),
-                                seg.value);
+                    dsp::simd::fillDoubles(scratch_.data(),
+                                           std::min(cap, n - done),
+                                           seg.value);
                 c.samples += n;
                 c.bypassed += n;
             });
@@ -75,21 +77,27 @@ WindowPlayer::playWindows(const waveform::GateId &id,
 }
 
 void
-WindowPlayer::prefetchWindow(const waveform::GateId &id,
-                             const core::CompressedEntry &entry,
-                             std::uint8_t ch, std::uint32_t window,
-                             std::uint8_t tier)
+WindowPlayer::prefetchWindows(const waveform::GateId &id,
+                              const core::CompressedEntry &entry,
+                              std::uint8_t ch, std::uint32_t first,
+                              std::uint32_t count, std::uint8_t tier)
 {
-    if (!log_)
+    if (!log_ || count == 0)
         return;
     const core::CompressedChannel &channel =
         ch == 0 ? entry.cw.i : entry.cw.q;
-    if (channel.isAdaptive()) {
-        std::size_t local = 0;
-        if (channel.segmentForWindow(window, local).isFlat)
-            return;
+    if (!channel.isAdaptive()) {
+        record(id, entry, ch, first, count, true, tier);
+        return;
     }
-    record(id, entry, ch, window, 1, true, tier);
+    channel.forEachSegmentRun(
+        first, std::size_t{first} + count,
+        [&](const core::AdaptiveSegment &seg, std::size_t lo,
+            std::size_t hi, std::size_t) {
+            if (!seg.isFlat)
+                record(id, entry, ch, static_cast<std::uint32_t>(lo),
+                       static_cast<std::uint32_t>(hi - lo), true, tier);
+        });
 }
 
 void

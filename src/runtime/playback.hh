@@ -9,9 +9,10 @@
  * path.
  *
  * Inside RuntimeService's grid a player also records what it played —
- * one WindowEvent per range, one per PREFETCH — into its cell's log,
- * which the grid replays into the rack's model after every cell has
- * finished. A player built without a log decodes and records nothing.
+ * one WindowEvent per ramp run of a played or prefetched range — into
+ * its cell's log, which the grid replays into the rack's model after
+ * every cell has finished. A player built without a log decodes and
+ * records nothing.
  *
  * RuntimeService's direct schedule-walking path and the
  * instruction-stream interpreter (isa::Interpreter) both play
@@ -97,15 +98,17 @@ class WindowPlayer
                      std::uint32_t count, PlaybackCounters &c);
 
     /**
-     * The PREFETCH op's body: record a prefetch of one window with
-     * the compiler's tier hint (0 fast, 1 slow). Flat bypass windows
-     * never occupy the model and record nothing; so does a player
-     * without a log. @pre window is within the channel's window grid
+     * The body of a PREFETCH streak: record a prefetch of windows
+     * [first, first + count) of channel `ch` with the compiler's tier
+     * hint (0 fast, 1 slow) — one event per ramp run, which the model
+     * applies window by window in order. Flat bypass windows never
+     * occupy the model and record nothing; so does a player without
+     * a log. @pre the range is within the channel's window grid
      */
-    void prefetchWindow(const waveform::GateId &id,
-                        const core::CompressedEntry &entry,
-                        std::uint8_t ch, std::uint32_t window,
-                        std::uint8_t tier = 0);
+    void prefetchWindows(const waveform::GateId &id,
+                         const core::CompressedEntry &entry,
+                         std::uint8_t ch, std::uint32_t first,
+                         std::uint32_t count, std::uint8_t tier);
 
   private:
     void record(const waveform::GateId &id,

@@ -221,7 +221,7 @@ struct TieredWindowStore::Model
             sketch.reset(std::max<std::size_t>(cfg.tier0.windows, 1));
     }
 
-    /** Apply one event; returns 1 for a cold prefetch insert. */
+    /** Apply one event; returns its cold prefetch inserts. */
     std::uint64_t
     apply(const WindowEvent &e)
     {
@@ -245,11 +245,12 @@ struct TieredWindowStore::Model
                         "window event outside its gate's window grid");
         current = &run;
         std::uint64_t inserted = 0;
-        if (e.prefetch)
-            inserted = prefetch(run.nodes[e.first], e.tier) ? 1 : 0;
-        else
-            for (std::uint32_t w = e.first; w < e.first + e.count; ++w)
+        for (std::uint32_t w = e.first; w < e.first + e.count; ++w) {
+            if (e.prefetch)
+                inserted += prefetch(run.nodes[w], e.tier) ? 1 : 0;
+            else
                 probe(run.nodes[w]);
+        }
         current = nullptr;
         if (run.resident == 0)
             runs.erase(it);

@@ -10,8 +10,8 @@
  * access (hit, fill, demotion) costs `tier1PenaltyCycles`.
  *
  * Only replay feeds the model: RuntimeService's grid cells record one
- * WindowEvent per PLAY range and per PREFETCH while they decode in
- * parallel, and once the grid has succeeded its serial reduction
+ * WindowEvent per PLAY range and per PREFETCH streak while they decode
+ * in parallel, and once the grid has succeeded its serial reduction
  * replays the logs in (circuit, shard) order. The counters are thus
  * bit-identical at any worker count, and a throwing batch never
  * reaches the model.
@@ -140,9 +140,11 @@ struct TieredStoreConfig
     std::uint64_t tier1PenaltyCycles = 8;
 };
 
-/** One recorded access: a demand PLAY of windows [first, first +
- *  count) of one gate, or one PREFETCH of window `first` (count 1),
- *  numbering the I channel's windows [0, iWindows), then the Q's. */
+/** One recorded access to windows [first, first + count) of one gate,
+ *  numbering the I channel's windows [0, iWindows), then the Q's: a
+ *  demand PLAY range, or a PREFETCH range (one folded streak of
+ *  PREFETCH ops). Either is applied window by window, in order, so a
+ *  range lands on exactly the counters of its one-window events. */
 struct WindowEvent
 {
     waveform::GateId gate;
@@ -189,8 +191,8 @@ class TieredWindowStore
      *  replay added (point-in-time fields: the state after it). A demand
      *  window probes tier 0, then tier 1 (a proven-reuse tier-1 hit
      *  promotes); a miss fills under the admission policy. A PREFETCH
-     *  inserts a cold window into its hinted tier or refreshes a
-     *  resident one (a tier-0 hint promotes a tier-1 window);
+     *  window is inserted cold into its hinted tier or refreshed if
+     *  resident (a tier-0 hint promotes a tier-1 window);
      *  `prefetches_inserted[i]` (one per log) gets log i's cold inserts. */
     TieredStoreStats replay(std::span<const WindowEventLog> logs,
                             std::span<std::uint64_t> prefetches_inserted);

@@ -658,7 +658,8 @@ TEST(Simd, FusedIdctDequantizeMatchesInverseThenDequantize)
     // from the whole int32 range: a library from outside may carry
     // any int32, and the shifted sum then overflows int32 and must
     // wrap exactly as the scalar cast does. Outputs past `len` stay
-    // untouched.
+    // untouched. IntDct::decodePrefix runs on the same draws: its
+    // constant branch (prefix length <= 1, one fill) must match too.
     constexpr double kSentinel = -7.0;
     for (const std::size_t n : {4u, 8u, 16u, 32u}) {
         Rng rng(940 + n);
@@ -694,19 +695,31 @@ TEST(Simd, FusedIdctDequantizeMatchesInverseThenDequantize)
                 }
                 for (std::size_t i = 0; i < n; ++i)
                     golden[i] = IntDct::dequantize(x[i]);
+                const auto prefix =
+                    std::span<const std::int32_t>(y).first(p);
                 for (simd::Backend b : supportedBackends()) {
                     BackendGuard g(b);
                     for (std::size_t len = 1; len <= n; ++len) {
-                        std::vector<double> out(n, kSentinel);
+                        std::vector<double> fused(n, kSentinel);
                         simd::idctPrefixDequantizeInto(
                             m.data(), n, y.data(), p,
-                            xform.inverseShift(), out.data(), len);
+                            xform.inverseShift(), fused.data(), len);
+                        std::vector<double> decoded(n, kSentinel);
+                        xform.decodePrefix(
+                            prefix, std::span<double>(decoded).first(len));
                         for (std::size_t i = 0; i < n; ++i) {
                             const double want =
                                 i < len ? golden[i] : kSentinel;
-                            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
-                                      std::bit_cast<std::uint64_t>(want))
-                                << "n=" << n << " p=" << p
+                            ASSERT_EQ(
+                                std::bit_cast<std::uint64_t>(fused[i]),
+                                std::bit_cast<std::uint64_t>(want))
+                                << "fused n=" << n << " p=" << p
+                                << " len=" << len << " i=" << i
+                                << " backend " << simd::backendName(b);
+                            ASSERT_EQ(
+                                std::bit_cast<std::uint64_t>(decoded[i]),
+                                std::bit_cast<std::uint64_t>(want))
+                                << "decodePrefix n=" << n << " p=" << p
                                 << " len=" << len << " i=" << i
                                 << " backend " << simd::backendName(b);
                         }
@@ -775,27 +788,38 @@ TEST(Simd, FloatIdctPrefixWithinEpsilonOfScalar)
     }
 }
 
-TEST(Simd, ZeroRunsClearExactlyTheRequestedRange)
+TEST(Simd, ZeroRunsAndFillsWriteExactlyTheRequestedRange)
 {
-    // The RLE fast paths must clear the run and nothing else, and the
-    // double variant must produce +0.0 (the all-zero bit pattern).
+    // The RLE integer zero run and the constant-fill kernel must write
+    // the run and nothing else, on every length a vector path peels.
+    // The fill copies its value bit for bit, exactly as std::fill_n:
+    // a -0.0 keeps its sign and a NaN its payload.
+    const double values[] = {
+        0.0, -0.0, -7.5, 0x1p-15,
+        std::bit_cast<double>(std::uint64_t{0xFFF800000000BEEF}),
+        std::bit_cast<double>(std::uint64_t{0x7FF0000000000001})};
+    constexpr double kSentinel = 123.25;
     for (simd::Backend b : supportedBackends()) {
         BackendGuard g(b);
-        for (const std::size_t n : {0u, 1u, 3u, 8u, 64u}) {
+        for (std::size_t n = 0; n <= 67; ++n) {
             std::vector<std::int32_t> vi(n + 8, 123);
             simd::zeroRunInt32(vi.data() + 4, n);
-            std::vector<double> vd(n + 8, -7.5);
-            simd::zeroRunDouble(vd.data() + 4, n);
-            for (std::size_t i = 0; i < vi.size(); ++i) {
-                const bool inside = i >= 4 && i < 4 + n;
-                EXPECT_EQ(vi[i], inside ? 0 : 123)
-                    << "n=" << n << " i=" << i;
-                EXPECT_EQ(vd[i], inside ? 0.0 : -7.5)
-                    << "n=" << n << " i=" << i;
-                if (inside) {
-                    EXPECT_FALSE(std::signbit(vd[i]))
-                        << "n=" << n << " i=" << i;
-                }
+            for (std::size_t i = 0; i < vi.size(); ++i)
+                ASSERT_EQ(vi[i], i >= 4 && i < 4 + n ? 0 : 123)
+                    << "n=" << n << " i=" << i << " backend "
+                    << simd::backendName(b);
+            for (const double v : values) {
+                std::vector<double> got(n + 8, kSentinel);
+                std::vector<double> want(n + 8, kSentinel);
+                simd::fillDoubles(got.data() + 4, n, v);
+                std::fill_n(want.data() + 4, n, v);
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                              std::bit_cast<std::uint64_t>(want[i]))
+                        << "n=" << n << " i=" << i << " value bits "
+                        << std::hex << std::bit_cast<std::uint64_t>(v)
+                        << std::dec << " backend "
+                        << simd::backendName(b);
             }
         }
     }

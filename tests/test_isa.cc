@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <string>
+#include <string_view>
 
 #include "circuits/scheduler.hh"
 #include "circuits/surface_code.hh"
@@ -31,6 +32,7 @@
 #include "isa/isa.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
+#include "telemetry/trace.hh"
 #include "waveform/device.hh"
 #include "waveform/library.hh"
 
@@ -47,6 +49,20 @@ buildCompressed(const waveform::PulseLibrary &lib)
         .mseTarget(1e-5)
         .build()
         .compressLibrary(lib);
+}
+
+/** The same codec with adaptive flat-top planning: flat segments are
+ *  served through the IDCT bypass and never enter the model. */
+core::CompressedLibrary
+buildAdaptive(const waveform::PulseLibrary &lib)
+{
+    return core::CompressionPipeline::with("int-dct")
+        .window(16)
+        .mseTarget(1e-5)
+        .planAdaptive()
+        .build()
+        .compileLibrary(lib)
+        .library;
 }
 
 uarch::ControllerConfig
@@ -761,6 +777,240 @@ TEST(IsaExecution, InterpreterCountsMatchProgramStats)
     EXPECT_GT(run.play.samples, 0u);
 }
 
+/** `log` with every PREFETCH range split into one-window events. */
+runtime::WindowEventLog
+splitPrefetches(const runtime::WindowEventLog &log)
+{
+    runtime::WindowEventLog out;
+    for (const runtime::WindowEvent &e : log) {
+        if (!e.prefetch) {
+            out.push_back(e);
+            continue;
+        }
+        for (std::uint32_t w = e.first; w < e.first + e.count; ++w) {
+            runtime::WindowEvent one = e;
+            one.first = w;
+            one.count = 1;
+            out.push_back(one);
+        }
+    }
+    return out;
+}
+
+TEST(IsaExecution, PrefetchStreaksReplayLikeOneWindowPrefetches)
+{
+    // The interpreter folds each PREFETCH streak into one range event.
+    // On the compiled QEC shard programs, the logs must replay to
+    // exactly the counters and per-log cold inserts of the same logs
+    // with every range split into one-window events (cold, then over
+    // the windows the first pass left resident), and every folded
+    // PREFETCH still retires in InterpreterStats.
+    for (const int d : {3, 5}) {
+        const std::string tag = "d=" + std::to_string(d);
+        const auto sc = circuits::makeSurfaceCode(
+            d, circuits::SurfaceLayout::Rotated, 1);
+        const auto dev = waveform::DeviceModel::synthetic(
+            "qec-" + tag, sc.totalQubits(), sc.nativeCoupling().edges());
+        const auto clib = buildAdaptive(waveform::PulseLibrary::build(dev));
+        // A small fast tier over a large slow one, so the compiler
+        // emits both hints and the replay demotes and promotes.
+        auto rc = rackConfig(clib, 4, 64);
+        rc.tier1Windows = 1 << 12;
+        rc.admission = runtime::AdmissionPolicy::TinyLfu;
+        const runtime::Rack rack(dev, clib, rc);
+        const auto compiled =
+            Compiler(rack).compile(circuits::schedule(sc.circuit, {}));
+        std::vector<runtime::WindowEventLog> ranged, split;
+        std::uint64_t prefetch_ops = 0, prefetch_events = 0;
+        for (int pass = 0; pass < 2; ++pass)
+            for (std::size_t s = 0; s < compiled.programs.size(); ++s) {
+                runtime::WindowEventLog log;
+                Interpreter interp(rack, rack.currentLibrary(), &log);
+                const auto run = interp.run(compiled.programs[s]);
+                EXPECT_EQ(run.stats.prefetches,
+                          compiled.stats[s].prefetchInstructions)
+                    << tag << " shard " << s;
+                EXPECT_EQ(run.stats.instructions,
+                          compiled.stats[s].instructions)
+                    << tag << " shard " << s;
+                prefetch_ops += run.stats.prefetches;
+                for (const auto &e : log)
+                    prefetch_events += e.prefetch ? 1 : 0;
+                split.push_back(splitPrefetches(log));
+                ranged.push_back(std::move(log));
+            }
+        EXPECT_GT(prefetch_events, 0u) << tag;
+        EXPECT_LT(prefetch_events, prefetch_ops) << tag;
+
+        runtime::TieredWindowStore a(rack.cache().config());
+        runtime::TieredWindowStore b(rack.cache().config());
+        std::vector<std::uint64_t> ia(ranged.size()), ib(split.size());
+        const auto x = a.replay(ranged, ia);
+        const auto y = b.replay(split, ib);
+        EXPECT_GT(x.prefetches, 0u) << tag;
+        EXPECT_GT(x.prefetchHits, 0u) << tag;
+        EXPECT_EQ(ia, ib) << tag;
+        EXPECT_EQ(x.hits, y.hits) << tag;
+        EXPECT_EQ(x.misses, y.misses) << tag;
+        EXPECT_EQ(x.evictions, y.evictions) << tag;
+        EXPECT_EQ(x.prefetches, y.prefetches) << tag;
+        EXPECT_EQ(x.prefetchHits, y.prefetchHits) << tag;
+        EXPECT_EQ(x.prefetchWasted, y.prefetchWasted) << tag;
+        EXPECT_EQ(x.promotions, y.promotions) << tag;
+        EXPECT_EQ(x.demotions, y.demotions) << tag;
+        EXPECT_EQ(x.penaltyCycles, y.penaltyCycles) << tag;
+        EXPECT_EQ(x.entries, y.entries) << tag;
+        EXPECT_EQ(x.residentSamples, y.residentSamples) << tag;
+        for (std::size_t t = 0; t < 2; ++t) {
+            EXPECT_EQ(x.tier[t].hits, y.tier[t].hits) << tag;
+            EXPECT_EQ(x.tier[t].misses, y.tier[t].misses) << tag;
+            EXPECT_EQ(x.tier[t].evictions, y.tier[t].evictions) << tag;
+            EXPECT_EQ(x.tier[t].admitted, y.tier[t].admitted) << tag;
+            EXPECT_EQ(x.tier[t].admitRejected, y.tier[t].admitRejected)
+                << tag;
+            EXPECT_EQ(x.tier[t].entries, y.tier[t].entries) << tag;
+        }
+    }
+}
+
+TEST(IsaExecution, PrefetchStreakBreaksOnTierChannelGapAndGate)
+{
+    // Hand-built: a streak is consecutive windows of one (gate,
+    // channel, tier). Each break starts a new range event; every op
+    // still retires.
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    const auto clib = buildCompressed(waveform::PulseLibrary::build(dev));
+    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    std::vector<std::pair<waveform::GateId, const core::CompressedEntry *>>
+        gates;
+    for (const auto &[id, e] : clib.entries())
+        if (gates.size() < 2 && e.cw.i.numWindows() >= 8 &&
+            e.cw.q.numWindows() >= 8)
+            gates.emplace_back(id, &e);
+    ASSERT_EQ(gates.size(), 2u);
+    const auto iwin = [&](std::size_t g) {
+        return static_cast<std::uint32_t>(gates[g].second->cw.i.numWindows());
+    };
+
+    InstructionProgram prog;
+    const auto a = prog.internGate(gates[0].first);
+    const auto b = prog.internGate(gates[1].first);
+    prog.emit(Instruction::prefetch(a, 0, 0, 0));
+    prog.emit(Instruction::prefetch(a, 0, 1, 0));
+    prog.emit(Instruction::prefetch(a, 0, 2, 1)); // tier change
+    prog.emit(Instruction::prefetch(a, 0, 3, 1));
+    prog.emit(Instruction::prefetch(a, 1, 4, 1)); // channel change
+    prog.emit(Instruction::prefetch(a, 1, 6, 1)); // window gap
+    prog.emit(Instruction::prefetch(b, 1, 7, 1)); // different gate
+    prog.emit(Instruction::halt());
+
+    runtime::WindowEventLog log;
+    Interpreter interp(rack, rack.currentLibrary(), &log);
+    auto &trace = telemetry::Trace::global();
+    const bool was_tracing = trace.enabled();
+    trace.clear();
+    trace.setEnabled(true);
+    const auto run = interp.run(prog);
+    trace.setEnabled(was_tracing);
+    EXPECT_EQ(run.stats.instructions, 8u);
+    EXPECT_EQ(run.stats.prefetches, 7u);
+    // Every op still retires in the trace: one span per pc, and the
+    // two folded into a streak head (pc 1 and 3) with zero dwell.
+    std::vector<int> spans(8, 0);
+    for (const telemetry::TraceEvent &e : trace.snapshot()) {
+        if (std::string_view(e.cat) != "isa")
+            continue;
+        ASSERT_LT(e.arg0, spans.size());
+        ++spans[e.arg0];
+        if (e.arg0 == 1 || e.arg0 == 3) {
+            EXPECT_EQ(e.durNs, 0u) << "pc " << e.arg0;
+        }
+    }
+    trace.clear();
+    EXPECT_EQ(spans, std::vector<int>(8, 1));
+
+    struct Want
+    {
+        std::size_t gate;
+        std::uint32_t first, count;
+        std::uint8_t tier;
+    };
+    const Want want[] = {{0, 0, 2, 0},
+                         {0, 2, 2, 1},
+                         {0, iwin(0) + 4, 1, 1},
+                         {0, iwin(0) + 6, 1, 1},
+                         {1, iwin(1) + 7, 1, 1}};
+    ASSERT_EQ(log.size(), std::size(want));
+    for (std::size_t k = 0; k < log.size(); ++k) {
+        const runtime::WindowEvent &e = log[k];
+        EXPECT_TRUE(e.prefetch) << "event " << k;
+        EXPECT_TRUE(e.gate == gates[want[k].gate].first) << "event " << k;
+        EXPECT_EQ(e.first, want[k].first) << "event " << k;
+        EXPECT_EQ(e.count, want[k].count) << "event " << k;
+        EXPECT_EQ(e.tier, want[k].tier) << "event " << k;
+    }
+}
+
+TEST(IsaExecution, PrefetchStreakOverFlatSegmentRecordsRampWindows)
+{
+    // A streak across an adaptive channel's flat segment records one
+    // event per ramp run; the flat windows never enter the model.
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    const auto clib = buildAdaptive(waveform::PulseLibrary::build(dev));
+    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    const waveform::GateId *id = nullptr;
+    const core::CompressedEntry *entry = nullptr;
+    for (const auto &[gid, e] : clib.entries()) {
+        const auto &segs = e.cw.i.segments;
+        if (segs.size() >= 3 && !segs.front().isFlat &&
+            !segs.back().isFlat) {
+            id = &gid;
+            entry = &e;
+            break;
+        }
+    }
+    ASSERT_NE(entry, nullptr);
+    const core::CompressedChannel &ch = entry->cw.i;
+    const auto nwin = static_cast<std::uint32_t>(ch.numWindows());
+
+    InstructionProgram prog;
+    const auto ref = prog.internGate(*id);
+    for (std::uint32_t w = 0; w < nwin; ++w)
+        prog.emit(Instruction::prefetch(ref, 0, w, 0));
+    prog.emit(Instruction::halt());
+
+    runtime::WindowEventLog log;
+    Interpreter interp(rack, rack.currentLibrary(), &log);
+    const auto run = interp.run(prog);
+    EXPECT_EQ(run.stats.prefetches, nwin);
+
+    runtime::WindowEventLog want;
+    std::uint32_t flat = 0;
+    ch.forEachSegmentRun(
+        0, nwin,
+        [&](const core::AdaptiveSegment &seg, std::size_t lo,
+            std::size_t hi, std::size_t) {
+            if (seg.isFlat) {
+                flat += static_cast<std::uint32_t>(hi - lo);
+                return;
+            }
+            runtime::WindowEvent e;
+            e.first = static_cast<std::uint32_t>(lo);
+            e.count = static_cast<std::uint32_t>(hi - lo);
+            want.push_back(e);
+        });
+    EXPECT_GT(flat, 0u);
+    ASSERT_EQ(log.size(), want.size());
+    std::uint32_t recorded = 0;
+    for (std::size_t k = 0; k < log.size(); ++k) {
+        EXPECT_TRUE(log[k].prefetch) << "event " << k;
+        EXPECT_EQ(log[k].first, want[k].first) << "event " << k;
+        EXPECT_EQ(log[k].count, want[k].count) << "event " << k;
+        recorded += log[k].count;
+    }
+    EXPECT_EQ(recorded + flat, nwin);
+}
+
 TEST(IsaExecution, InterpreterRejectsForeignPrograms)
 {
     // A program whose gate table references gates the rack's library
@@ -790,6 +1040,9 @@ struct OutOfGridShape
     /** PREFETCH past the Q grid too: window nwin + the Q window
      *  count. */
     bool pastBoth = false;
+    /** PREFETCH windows nwin - 2, nwin - 1, nwin: one streak whose
+     *  last window is past the grid. */
+    bool streak = false;
 };
 
 void
@@ -812,14 +1065,7 @@ TEST_P(InterpreterOutOfGrid, ThrowsBeforeAnythingPlays)
     // key an I window past the grid as a Q window.
     const OutOfGridShape &shape = GetParam();
     const auto dev = waveform::DeviceModel::ibm("bogota");
-    const auto compiled =
-        core::CompressionPipeline::with("int-dct")
-            .window(16)
-            .mseTarget(1e-5)
-            .planAdaptive()
-            .build()
-            .compileLibrary(waveform::PulseLibrary::build(dev));
-    const auto &clib = compiled.library;
+    const auto clib = buildAdaptive(waveform::PulseLibrary::build(dev));
     const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
 
     const waveform::GateId *id = nullptr;
@@ -841,6 +1087,9 @@ TEST_P(InterpreterOutOfGrid, ThrowsBeforeAnythingPlays)
         built.emit(Instruction::play(ref, 0,
                                      static_cast<std::uint16_t>(nwin - 1),
                                      2));
+    else if (shape.streak)
+        for (std::uint32_t w = nwin - 2; w <= nwin; ++w)
+            built.emit(Instruction::prefetch(ref, 0, w));
     else
         built.emit(Instruction::prefetch(
             ref, 0, nwin + (shape.pastBoth ? qwin : 0)));
@@ -860,7 +1109,9 @@ INSTANTIATE_TEST_SUITE_P(
         OutOfGridShape{"AdaptivePlay", true, false},
         OutOfGridShape{"AdaptivePrefetch", true, true},
         OutOfGridShape{"PrefetchPastIIntoQ", false, true},
-        OutOfGridShape{"PrefetchPastBothChannels", false, true, true}),
+        OutOfGridShape{"PrefetchPastBothChannels", false, true, true},
+        OutOfGridShape{"PrefetchStreakPastGrid", false, true, false,
+                       true}),
     [](const ::testing::TestParamInfo<OutOfGridShape> &info) {
         return std::string(info.param.name);
     });

@@ -191,12 +191,13 @@ play(int q, std::uint32_t first, std::uint32_t count = 1,
             version};
 }
 
-/** A PREFETCH of window `w` of the same channel with tier hint
- *  `tier`. */
+/** A PREFETCH of windows [w, w + count) of the same layout with tier
+ *  hint `tier`. */
 WindowEvent
-prefetch(int q, std::uint32_t w, std::uint8_t tier = 0)
+prefetch(int q, std::uint32_t w, std::uint8_t tier = 0,
+         std::uint32_t count = 1)
 {
-    WindowEvent e = play(q, w);
+    WindowEvent e = play(q, w, count);
     e.prefetch = true;
     e.tier = tier;
     return e;
@@ -470,15 +471,23 @@ TEST(TieredStore, TinyLfuChallengesTheVictimFrequency)
 
 TEST(TieredStore, RangeEventsMatchPerWindowEvents)
 {
-    // One event per PLAY range is a recording format, not a model
-    // change: a stream replayed as ranges must land on exactly the
-    // counters of the same windows replayed one event each — across
-    // policies, tier splits, eviction pressure and prefetches.
+    // One event per PLAY range or PREFETCH streak is a recording
+    // format, not a model change: a stream replayed as ranges must
+    // land on exactly the counters and cold-insert tallies of the same
+    // windows replayed one event each — across policies, tier splits,
+    // eviction pressure, and prefetch ranges with either hint over
+    // cold, tier-1 and resident windows.
     const std::vector<WindowEvent> stream = {
-        play(0, 0, 12), play(1, 0, 20), play(0, 0, 12), prefetch(2, 3),
-        play(2, 0, 8),  play(1, 4, 9),  play(3, 0, 30), play(0, 2, 6),
-        play(1, 0, 20), prefetch(0, 40, 1), play(0, 36, 8),
-        play(3, 0, 30), play(0, 0, 12), play(2, 0, 8)};
+        play(0, 0, 12),         play(1, 0, 20),
+        prefetch(4, 0, 0, 10),  play(0, 0, 12),
+        prefetch(2, 3),         play(2, 0, 8),
+        prefetch(1, 12, 1, 14), play(1, 4, 9),
+        play(3, 0, 30),         prefetch(0, 0, 0, 12),
+        play(0, 2, 6),          play(1, 0, 20),
+        prefetch(0, 40, 1),     prefetch(3, 20, 1, 16),
+        play(0, 36, 8),         play(4, 0, 10),
+        play(3, 0, 30),         prefetch(2, 0, 0, 8),
+        play(0, 0, 12),         play(2, 0, 8)};
     WindowEventLog ranges, singles;
     for (int pass = 0; pass < 3; ++pass)
         for (const auto &e : stream) {
@@ -512,6 +521,8 @@ TEST(TieredStore, RangeEventsMatchPerWindowEvents)
                                 " t0=" + std::to_string(sh.tier0.windows) +
                                 " t1=" + std::to_string(sh.tier1.windows);
         EXPECT_GT(x.hits, 0u) << tag;
+        EXPECT_GT(x.prefetches, 0u) << tag;
+        EXPECT_EQ(ia, x.prefetches) << tag;
         EXPECT_EQ(ia, ib) << tag;
         EXPECT_EQ(x.hits, y.hits) << tag;
         EXPECT_EQ(x.misses, y.misses) << tag;
@@ -523,8 +534,12 @@ TEST(TieredStore, RangeEventsMatchPerWindowEvents)
         EXPECT_EQ(x.demotions, y.demotions) << tag;
         EXPECT_EQ(x.penaltyCycles, y.penaltyCycles) << tag;
         EXPECT_EQ(x.entries, y.entries) << tag;
+        EXPECT_EQ(x.residentSamples, y.residentSamples) << tag;
         for (std::size_t t = 0; t < 2; ++t) {
             EXPECT_EQ(x.tier[t].hits, y.tier[t].hits) << tag;
+            EXPECT_EQ(x.tier[t].misses, y.tier[t].misses) << tag;
+            EXPECT_EQ(x.tier[t].evictions, y.tier[t].evictions) << tag;
+            EXPECT_EQ(x.tier[t].admitted, y.tier[t].admitted) << tag;
             EXPECT_EQ(x.tier[t].admitRejected, y.tier[t].admitRejected)
                 << tag;
             EXPECT_EQ(x.tier[t].entries, y.tier[t].entries) << tag;
