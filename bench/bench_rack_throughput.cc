@@ -92,10 +92,10 @@ run(const Workload &w, int shards, std::size_t cache_windows,
     const runtime::Rack rack(w.dev, w.clib,
                              rackConfig(w, shards, cache_windows));
     runtime::RuntimeService svc(rack, {.workers = workers});
-    svc.executeBatch(w.batch);
-    auto best = svc.executeBatch(w.batch);
+    svc.executeBatchCompiledPerJob(w.batch);
+    auto best = svc.executeBatchCompiledPerJob(w.batch).total;
     for (int rep = 1; rep < 3; ++rep) {
-        auto stats = svc.executeBatch(w.batch);
+        auto stats = svc.executeBatchCompiledPerJob(w.batch).total;
         if (stats.gatesPerSec > best.gatesPerSec)
             best = stats;
     }
@@ -122,17 +122,20 @@ pairedSpeedup(const Workload &w, int shards, std::size_t cache_windows,
                                 rackConfig(w, shards, cache_windows));
     runtime::RuntimeService off(bare, {.workers = workers});
     runtime::RuntimeService on(modeled, {.workers = workers});
-    off.executeBatch(w.batch);
-    on.executeBatch(w.batch);
+    const auto gatesPerSec = [&w](runtime::RuntimeService &svc) {
+        return svc.executeBatchCompiledPerJob(w.batch).total.gatesPerSec;
+    };
+    gatesPerSec(off);
+    gatesPerSec(on);
     PairedSpeedup p;
     for (int i = 0; i < pairs; ++i) {
         double g_off = 0.0, g_on = 0.0;
         if (i % 2 == 0) {
-            g_off = off.executeBatch(w.batch).gatesPerSec;
-            g_on = on.executeBatch(w.batch).gatesPerSec;
+            g_off = gatesPerSec(off);
+            g_on = gatesPerSec(on);
         } else {
-            g_on = on.executeBatch(w.batch).gatesPerSec;
-            g_off = off.executeBatch(w.batch).gatesPerSec;
+            g_on = gatesPerSec(on);
+            g_off = gatesPerSec(off);
         }
         p.ratios.push_back(g_off > 0.0 ? g_on / g_off : 0.0);
         p.modeled.push_back(g_on);
@@ -276,7 +279,7 @@ runSkew(const SkewWorkload &w, const SkewConfig &cfg, int shards,
     rc.admission = cfg.admission;
     const runtime::Rack rack(w.dev, w.clib, rc);
     runtime::RuntimeService svc(rack, {.workers = workers});
-    svc.executeBatch(w.batch); // warm the model
+    svc.executeBatchCompiledPerJob(w.batch); // warm the model
     // Aggregate counters and wall clock over every measured batch:
     // steady-state rates over the whole run, not a lucky interval.
     SkewResult best;
@@ -284,7 +287,7 @@ runSkew(const SkewWorkload &w, const SkewConfig &cfg, int shards,
     double wall = 0.0;
     std::uint64_t gates = 0;
     for (int rep = 0; rep < reps; ++rep) {
-        best.stats = svc.executeBatch(w.batch);
+        best.stats = svc.executeBatchCompiledPerJob(w.batch).total;
         wall += best.stats.wallSeconds;
         gates += best.stats.totalGates;
         cache_sum.accumulate(best.stats.cache);
@@ -422,9 +425,9 @@ main(int argc, char **argv)
                   static_cast<double>(cached_counters.evictions));
     report.metric("cached_resident_windows",
                   static_cast<double>(cached_counters.entries));
-    // Prefetch counters: the direct path never prefetches, so these
-    // are a zero baseline here — the instruction-stream back end's
-    // numbers live in BENCH_istream_compile.json for comparison.
+    // Prefetch counters of the same batches (the compiler's default
+    // PREFETCH stream; BENCH_istream_compile.json compares it with
+    // the same programs without it).
     report.metric("cached_prefetches",
                   static_cast<double>(cached_counters.prefetches));
     report.metric("cached_prefetch_hits",

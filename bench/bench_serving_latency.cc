@@ -10,7 +10,7 @@
  * The headline metric is queued-vs-synchronous throughput at equal
  * worker count: the server coalesces jobs from many tenants into rack
  * batches (fewer executor barriers, better cell-level load balance)
- * and must beat the PR 2 synchronous per-submission executeBatch
+ * and must beat a synchronous per-submission RuntimeService
  * loop. A deterministic pause/fill/overflow segment also measures the
  * admission-control contract (reject-with-status at queueDepth).
  *
@@ -30,6 +30,7 @@
 #include <cstring>
 #include <future>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +112,23 @@ rackConfig(const Workload &w, int shards)
     return rc;
 }
 
+/** A one-rack server over the workload's library (shared copy). */
+runtime::FleetConfig
+serverConfig(const Workload &w, int shards, int workers,
+             std::size_t queue_depth)
+{
+    return {.rack = rackConfig(w, shards),
+            .workers = workers,
+            .queueDepth = queue_depth,
+            .maxBatch = 16};
+}
+
+std::shared_ptr<const core::CompressedLibrary>
+sharedLibrary(const Workload &w)
+{
+    return std::make_shared<const core::CompressedLibrary>(w.clib);
+}
+
 struct QueuedRun
 {
     double wallSeconds = 0.0;
@@ -182,10 +200,9 @@ runQueued(const Workload &w, int shards, int tenants,
           int jobs_per_tenant, std::size_t queue_depth, int workers,
           int reps)
 {
-    const runtime::Rack rack(w.dev, w.clib, rackConfig(w, shards));
-    runtime::Server server(rack, {.workers = workers,
-                                  .queueDepth = queue_depth,
-                                  .maxBatch = 16});
+    runtime::Server server(
+        w.dev, sharedLibrary(w),
+        serverConfig(w, shards, workers, queue_depth));
     const auto tenant_names = tenantNames(tenants);
 
     QueuedRun best;
@@ -218,7 +235,7 @@ struct Comparison
 
 /**
  * The acceptance comparison: the queued multi-tenant front end vs
- * the PR 2 synchronous per-submission path, equal worker count, same
+ * a synchronous per-submission service, equal worker count, same
  * offered load. The synchronous side runs the same tenant threads
  * but must serialize them with a caller-side mutex — a
  * RuntimeService cannot be entered concurrently — which is exactly
@@ -232,10 +249,8 @@ Comparison
 compareFrontEnds(const Workload &w, int shards, int tenants,
                  int jobs_per_tenant, int workers, int passes)
 {
-    const runtime::Rack qrack(w.dev, w.clib, rackConfig(w, shards));
-    runtime::Server server(qrack, {.workers = workers,
-                                   .queueDepth = 1024,
-                                   .maxBatch = 16});
+    runtime::Server server(w.dev, sharedLibrary(w),
+                           serverConfig(w, shards, workers, 1024));
     const runtime::Rack srack(w.dev, w.clib, rackConfig(w, shards));
     runtime::RuntimeService svc(srack, {.workers = workers});
     const auto tenant_names = tenantNames(tenants);
@@ -255,7 +270,8 @@ compareFrontEnds(const Workload &w, int shards, int tenants,
             threads.emplace_back([&] {
                 for (int j = 0; j < jobs_per_tenant; ++j) {
                     std::lock_guard lock(mu);
-                    gates += svc.executeBatch({w.job(j)}).totalGates;
+                    gates += svc.executeBatchCompiledPerJob({w.job(j)})
+                                 .total.totalGates;
                 }
             });
         for (auto &t : threads)
@@ -299,7 +315,7 @@ runSyncBigBatch(const Workload &w, int shards, int total_jobs,
     double best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = Clock::now();
-        const auto stats = svc.executeBatch(batch);
+        const auto stats = svc.executeBatchCompiledPerJob(batch).total;
         const double wall = secondsSince(t0);
         if (wall > 0.0)
             best = std::max(
@@ -419,11 +435,9 @@ main(int argc, char **argv)
     {
         const std::size_t depth = 8;
         const int overflow = 3;
-        const runtime::Rack rack(w.dev, w.clib,
-                                 rackConfig(w, shards));
-        runtime::Server server(rack, {.workers = compare_workers,
-                                      .queueDepth = depth,
-                                      .maxBatch = 16});
+        runtime::Server server(
+            w.dev, sharedLibrary(w),
+            serverConfig(w, shards, compare_workers, depth));
         server.pause();
         std::vector<std::future<runtime::JobResult>> futs;
         for (std::size_t i = 0;

@@ -32,6 +32,7 @@
 #include <cstring>
 #include <future>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,12 +98,11 @@ median(std::vector<double> xs)
 }
 
 /**
- * Median batch wall time of `reps` compiled-back-end executions with
- * tracing set to `traced`. The compiled path is the worst case for
- * telemetry: it adds the per-instruction ISA dwell events on top of
- * the shard/cache/batch spans. The service (and its warmed cache) is
- * shared across calls; the interleaved caller alternates the trace
- * state so both states see the same steady-state cache.
+ * Median batch wall time of `reps` service batches with tracing set
+ * to `traced`. Tracing adds the per-instruction ISA dwell events on
+ * top of the shard/cache/batch spans. The service (and its warmed
+ * cache) is shared across calls; the interleaved caller alternates
+ * the trace state so both states see the same steady-state cache.
  */
 std::vector<double>
 timedRuns(runtime::RuntimeService &svc, const Workload &w, int reps,
@@ -118,8 +118,8 @@ timedRuns(runtime::RuntimeService &svc, const Workload &w, int reps,
         // from an empty ring like a fresh capture would.
         if (traced)
             trace.clear();
-        const auto stats = svc.executeBatchCompiled(w.batch);
-        wall.push_back(stats.wallSeconds);
+        wall.push_back(
+            svc.executeBatchCompiledPerJob(w.batch).total.wallSeconds);
     }
     trace.setEnabled(false);
     return wall;
@@ -130,11 +130,9 @@ timedRuns(runtime::RuntimeService &svc, const Workload &w, int reps,
 std::size_t
 tracedServingRun(const Workload &w, int jobs_per_tenant)
 {
-    const runtime::Rack rack(w.dev, w.clib, rackConfig(w));
-    runtime::ServerConfig cfg;
-    cfg.workers = 2;
-    cfg.maxBatch = 4;
-    runtime::Server server(rack, cfg);
+    runtime::Server server(
+        w.dev, std::make_shared<const core::CompressedLibrary>(w.clib),
+        {.rack = rackConfig(w), .workers = 2, .maxBatch = 4});
 
     auto &trace = telemetry::Trace::global();
     trace.clear();
@@ -176,7 +174,7 @@ main(int argc, char **argv)
 
     // Warm the decoded-window cache so every measured pass replays
     // the same steady state.
-    svc.executeBatchCompiled(w.batch);
+    svc.executeBatchCompiledPerJob(w.batch);
 
     // Interleave disabled/enabled passes; split the disabled ones
     // into two alternating halves whose spread is the noise floor.
@@ -206,7 +204,7 @@ main(int argc, char **argv)
     const std::uint64_t events_buffered = trace.bufferedEvents();
     const std::uint64_t events_dropped = trace.droppedEvents();
 
-    Table t("telemetry overhead (compiled back end, median of " +
+    Table t("telemetry overhead (service batches, median of " +
             std::to_string(reps) + " interleaved passes)");
     t.header({"mode", "batch wall (ms)", "overhead vs off"});
     t.row({"telemetry off", Table::num(t_off * 1e3, 3), "-"});

@@ -66,8 +66,8 @@ main()
         // measured run replays hot pulse windows from it.
         const auto sched = circuits::schedule(sc.circuit, {});
         const std::vector<circuits::Schedule> batch(4, sched);
-        svc.executeBatch(batch);
-        const auto stats = svc.executeBatch(batch);
+        svc.executeBatchCompiledPerJob(batch);
+        const auto stats = svc.executeBatchCompiledPerJob(batch).total;
 
         t.row({std::to_string(d), std::to_string(sc.totalQubits()),
                std::to_string(shards),

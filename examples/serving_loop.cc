@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuits/scheduler.hh"
@@ -42,11 +43,12 @@ main()
         "serving-surface-" + std::to_string(sc.totalQubits()),
         sc.totalQubits(), sc.nativeCoupling().edges());
     const auto lib = PulseLibrary::build(dev);
-    const auto clib = Pipeline::with("int-dct")
-                          .window(16)
-                          .mseTarget(1e-5)
-                          .build()
-                          .compressLibrary(lib);
+    auto clib = std::make_shared<const CompressedLibrary>(
+        Pipeline::with("int-dct")
+            .window(16)
+            .mseTarget(1e-5)
+            .build()
+            .compressLibrary(lib));
 
     runtime::RackConfig rc;
     rc.numShards = 2;
@@ -55,15 +57,18 @@ main()
     rc.controller.windowSize = 16;
     // Provision word-budget headroom so a future recalibration
     // (possibly fatter windows) still satisfies the swap contract.
-    rc.controller.memoryWidth = clib.worstCaseWindowWords() * 2;
+    rc.controller.memoryWidth = clib->worstCaseWindowWords() * 2;
     rc.cacheWindows = 1u << 15;
-    const Rack rack(dev, clib, rc);
 
-    // The serving front end: bounded queue, batch coalescing, and
-    // per-tenant accounting. workers = 0 picks the hardware default.
-    Server server(rack, ServerConfig{.workers = 0,
-                                     .queueDepth = 64,
-                                     .maxBatch = 8});
+    // The serving front end over a fleet of one rack: bounded queue,
+    // batch coalescing, and per-tenant accounting. workers = 0 picks
+    // the hardware default. The server's registry becomes the
+    // library's only owner, so a later swap can release it.
+    Server server(dev, std::move(clib),
+                  FleetConfig{.rack = rc,
+                              .workers = 0,
+                              .queueDepth = 64,
+                              .maxBatch = 8});
 
     // Four tenants, each streaming 12 syndrome-cycle jobs.
     const auto sched = circuits::schedule(sc.circuit, {});

@@ -162,16 +162,12 @@ bandwidth(const Schedule &s, double bytes_per_channel_per_sec)
 std::uint64_t
 scheduleFingerprint(const Schedule &s)
 {
-    // FNV-1a over the schedule's content. Doubles are folded by bit
-    // pattern, so the fingerprint is exact, not tolerance-based:
-    // a cache keyed by it can only collapse byte-identical schedules.
+    // A word-wise fold over the schedule's content. Doubles are
+    // folded by bit pattern, so the fingerprint is exact, not
+    // tolerance-based: a cache keyed by it can only collapse
+    // byte-identical schedules.
     std::uint64_t h = 0xCBF29CE484222325ull;
-    const auto fold = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= v >> (i * 8) & 0xFFu;
-            h *= 0x100000001B3ull;
-        }
-    };
+    const auto fold = [&h](std::uint64_t v) { h = fingerprintFold(h, v); };
     const auto foldDouble = [&fold](double d) {
         std::uint64_t bits = 0;
         static_assert(sizeof bits == sizeof d);

@@ -63,13 +63,26 @@ Schedule schedule(const Circuit &c, const Durations &dur);
 std::vector<std::size_t> eventOrderByStart(const Schedule &s);
 
 /**
+ * One step of the fingerprint's word fold: xor a 64-bit word into the
+ * state, multiply, xor-shift. For a fixed word each step is a
+ * bijection of the state, so two word sequences of equal length that
+ * differ in one word always end in different states.
+ */
+constexpr std::uint64_t
+fingerprintFold(std::uint64_t h, std::uint64_t v)
+{
+    h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+    return h ^ (h >> 32);
+}
+
+/**
  * 64-bit content hash of a schedule: every event's op, qubits, param,
- * timing, and channels, plus the makespan, folded in list order. Two
- * schedules with equal fingerprints compile to the same instruction
- * program (against the same library/config), which is what lets the
- * runtime cache compiled programs as persistent artifacts keyed by
- * (fingerprint, shard, library version) instead of recompiling per
- * job.
+ * timing, and channels, plus the makespan, folded in list order one
+ * 64-bit word at a time (fingerprintFold). Two schedules with equal
+ * fingerprints compile to the same instruction program (against the
+ * same library/config), which is what lets the runtime cache compiled
+ * programs as persistent artifacts keyed by (fingerprint, shard,
+ * library version) instead of recompiling per job.
  */
 std::uint64_t scheduleFingerprint(const Schedule &s);
 

@@ -104,8 +104,8 @@ using runtime::TieredStoreStats;
 using runtime::TieredWindowStore;
 using runtime::WindowEvent;
 
-// Instruction-stream backend (compile schedules to per-shard
-// PLAY/WAIT/PREFETCH programs; executeBatchCompiled drives them)
+// Instruction-stream back end (compile schedules to per-shard
+// PLAY/WAIT/PREFETCH programs; RuntimeService interprets them)
 using IsaCompiler = isa::Compiler;
 using IsaInterpreter = isa::Interpreter;
 using isa::CompiledSchedule;
@@ -128,7 +128,6 @@ using runtime::RackRollup;
 using runtime::RoutingPolicy;
 using runtime::ScheduledCircuit;
 using runtime::Server;
-using runtime::ServerConfig;
 using runtime::ServerStats;
 
 // Telemetry plane (metrics registry + Chrome-trace collector; see

@@ -100,8 +100,7 @@ Interpreter::run(const InstructionProgram &prog)
             const std::uint32_t first = in.playFirst();
             std::uint32_t count = in.playCount();
             // The event's I-channel PLAY (first chunk) carries the
-            // per-gate accounting, mirroring the direct path's one
-            // tally per schedule event.
+            // per-gate accounting: one tally per schedule event.
             if (in.channel == 0 && first == 0) {
                 ++res.play.gates;
                 if (!player_.decodes())

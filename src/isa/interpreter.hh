@@ -1,9 +1,8 @@
 /**
  * @file
- * The instruction-stream execution back end: walk one shard's
- * InstructionProgram and drive playback through the shared
- * runtime::WindowPlayer, so the stats it produces are bit-identical
- * to the direct schedule-walking path by construction.
+ * The execution back end: walk one shard's InstructionProgram and
+ * drive playback through runtime::WindowPlayer. RuntimeService runs
+ * every batch this way, one program per (circuit, shard) cell.
  *
  * A PREFETCH op only records an event for the rack's waveform-memory
  * model (when the interpreter runs inside RuntimeService's grid with
@@ -46,8 +45,9 @@ struct InterpreterStats
 /** Outcome of running one program. */
 struct InterpreterResult
 {
-    /** Exactly the gates/windows/samples/bypassed the direct path
-     *  tallies for the same shard slice. */
+    /** Gates/windows/samples/bypassed played. For a compiled shard
+     *  slice: one gate per event whose gate the library holds, and
+     *  every window of its two channels. */
     runtime::PlaybackCounters play;
     InterpreterStats stats;
 };

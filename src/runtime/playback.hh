@@ -1,24 +1,18 @@
 /**
  * @file
- * The one window-playback loop both execution back ends share: decode
- * a range of windows of one gate channel straight into reused scratch
- * in one pass — the codec resolved once, the channel's segment map
- * walked once, ramp runs batch-decoded by the codec and adaptive flat
- * runs served as constant fills through the IDCT bypass. Every play
- * decodes; the rack's waveform-memory model never sits on the sample
- * path.
+ * The window-playback loop the instruction-stream interpreter drives:
+ * decode a range of windows of one gate channel straight into reused
+ * scratch in one pass — the codec resolved once, the channel's
+ * segment map walked once, ramp runs batch-decoded by the codec and
+ * adaptive flat runs served as constant fills through the IDCT
+ * bypass. Every play decodes; the rack's waveform-memory model never
+ * sits on the sample path.
  *
  * Inside RuntimeService's grid a player also records what it played —
  * one WindowEvent per ramp run of a played or prefetched range — into
  * its cell's log, which the grid replays into the rack's model after
  * every cell has finished. A player built without a log decodes and
  * records nothing.
- *
- * RuntimeService's direct schedule-walking path and the
- * instruction-stream interpreter (isa::Interpreter) both play
- * through this helper, which is what makes their RackStats
- * bit-identical by construction rather than by parallel maintenance
- * of two copies of the loop.
  */
 
 #ifndef COMPAQT_RUNTIME_PLAYBACK_HH

@@ -139,18 +139,6 @@ class Rack
     const ShardPlan &plan() const { return plan_; }
     int numShards() const { return plan_.numShards; }
 
-    /**
-     * Legacy accessor: the current epoch's library, unpinned. The
-     * reference stays valid only until the next publish — execution
-     * paths must pin with currentLibrary() instead; this form exists
-     * for single-library tools that never swap.
-     */
-    const core::CompressedLibrary &
-    library() const
-    {
-        return *registry_->current();
-    }
-
     /** Pin the current library epoch for one batch of work. */
     VersionedLibrary
     currentLibrary() const

@@ -160,45 +160,12 @@ routingPolicyName(RoutingPolicy p)
     return "unknown";
 }
 
-Server::Server(const Rack &rack, const ServerConfig &cfg)
-{
-    cfg_.racks = 1;
-    cfg_.rack = rack.config();
-    cfg_.workers = cfg.workers;
-    cfg_.queueDepth = cfg.queueDepth;
-    cfg_.maxBatch = cfg.maxBatch;
-    cfg_.backend = cfg.backend;
-    cfg_.programCacheEntries = cfg.programCacheEntries;
-    registry_ = rack.registry();
-    auto lane = std::make_unique<Lane>();
-    lane->rack = &rack;
-    lanes_.push_back(std::move(lane));
-    start();
-}
-
 Server::Server(const waveform::DeviceModel &dev,
                std::shared_ptr<const core::CompressedLibrary> lib,
                const FleetConfig &cfg)
     : cfg_(cfg)
 {
     cfg_.racks = std::max(1, cfg_.racks);
-    registry_ = std::make_shared<LibraryRegistry>(std::move(lib));
-    lanes_.reserve(static_cast<std::size_t>(cfg_.racks));
-    for (int i = 0; i < cfg_.racks; ++i) {
-        auto lane = std::make_unique<Lane>();
-        // Every rack attaches to the ONE shared registry: a single
-        // publish recalibrates the whole fleet.
-        lane->owned =
-            std::make_unique<Rack>(dev, registry_, cfg_.rack);
-        lane->rack = lane->owned.get();
-        lanes_.push_back(std::move(lane));
-    }
-    start();
-}
-
-void
-Server::start()
-{
     cfg_.queueDepth = std::max<std::size_t>(1, cfg_.queueDepth);
     cfg_.maxBatch = std::max<std::size_t>(1, cfg_.maxBatch);
     cfg_.virtualNodes = std::max(1, cfg_.virtualNodes);
@@ -207,17 +174,24 @@ Server::start()
     const int workers =
         cfg_.workers >= 1 ? cfg_.workers
                           : common::Executor::defaultWorkerCount();
+    registry_ = std::make_shared<LibraryRegistry>(std::move(lib));
     auto &reg = telemetry::Registry::global();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        Lane &lane = *lanes_[i];
-        lane.index = static_cast<int>(i);
-        lane.svc = std::make_unique<RuntimeService>(
-            *lane.rack,
+    lanes_.reserve(static_cast<std::size_t>(cfg_.racks));
+    for (int i = 0; i < cfg_.racks; ++i) {
+        auto lane = std::make_unique<Lane>();
+        lane->index = i;
+        // Every rack attaches to the ONE shared registry: a single
+        // publish recalibrates the whole fleet.
+        lane->rack = std::make_unique<Rack>(dev, registry_, cfg_.rack);
+        lane->svc = std::make_unique<RuntimeService>(
+            *lane->rack,
             ServiceConfig{workers, cfg_.programCacheEntries});
-        lane.jobsCounter = &reg.counter(
+        lane->jobsCounter = &reg.counter(
             "fleet.rack." + std::to_string(i) + ".jobs");
+        const auto idx = static_cast<std::size_t>(i);
         for (int v = 0; v < cfg_.virtualNodes; ++v)
-            ring_.emplace_back(hashVnode(i, v), i);
+            ring_.emplace_back(hashVnode(idx, v), idx);
+        lanes_.push_back(std::move(lane));
     }
     std::sort(ring_.begin(), ring_.end());
     ServerMetrics::instance().racks.set(
@@ -495,19 +469,12 @@ Server::dispatchLoop(Lane &lane)
         scheds.reserve(taken.size());
         for (auto &p : taken)
             scheds.push_back(std::move(p.job.schedule));
-        const auto run =
-            [&](const std::vector<circuits::Schedule> &batch) {
-                return cfg_.backend == DispatchBackend::Compiled
-                           ? lane.svc->executeBatchCompiledPerJob(
-                                 batch)
-                           : lane.svc->executeBatchPerJob(batch);
-            };
         BatchExecution exec;
         std::vector<std::string> errors(taken.size());
         std::vector<std::uint64_t> versions(taken.size(), 0);
         bool batch_ok = true;
         try {
-            exec = run(scheds);
+            exec = lane.svc->executeBatchCompiledPerJob(scheds);
             for (auto &v : versions)
                 v = exec.libraryVersion;
         } catch (...) {
@@ -523,7 +490,8 @@ Server::dispatchLoop(Lane &lane)
             exec.jobs.assign(taken.size(), RackStats{});
             for (std::size_t i = 0; i < taken.size(); ++i) {
                 try {
-                    auto single = run({scheds[i]});
+                    auto single =
+                        lane.svc->executeBatchCompiledPerJob({scheds[i]});
                     exec.jobs[i] = std::move(single.jobs[0]);
                     exec.total.cache.accumulate(single.total.cache);
                     versions[i] = single.libraryVersion;

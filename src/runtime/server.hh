@@ -79,10 +79,12 @@ enum class JobStatus
     Rejected,
     /** Accepted but still queued when the server shut down. */
     Cancelled,
-    /** Dispatched, but executing this job's schedule threw; error
-     *  holds the reason. Failure is isolated per job: when a
-     *  coalesced batch throws, the dispatcher re-executes it one job
-     *  at a time, so only jobs whose own schedule throws fail. */
+    /** Dispatched, but executing this job's schedule threw (a shard
+     *  slice whose program overflows the instruction memory, for
+     *  one); error holds the reason. Failure is isolated per job:
+     *  when a coalesced batch throws, the dispatcher re-executes it
+     *  one job at a time, so only jobs whose own schedule throws
+     *  fail. */
     Failed,
 };
 
@@ -104,14 +106,15 @@ enum class RoutingPolicy
 /** Printable policy name. */
 const char *routingPolicyName(RoutingPolicy p);
 
-/** Which execution back end the dispatchers drive. */
+/**
+ * The execution back end. There is one — every batch lowers to
+ * per-shard instruction programs and interprets them — so this enum
+ * and FleetConfig::backend select nothing and nothing reads them.
+ * They remain only because the fleet benchmark's set-up assigns
+ * FleetConfig::backend; both go at its next change.
+ */
 enum class DispatchBackend
 {
-    /** Schedule-walking playback (RuntimeService::executeBatch). */
-    Direct,
-    /** Lower to per-shard instruction programs and interpret
-     *  (executeBatchCompiled), with compiled artifacts reused across
-     *  batches through the per-rack program cache. */
     Compiled,
 };
 
@@ -159,27 +162,6 @@ struct JobResult
     std::string error;
 };
 
-/** Serving-plane tuning knobs (single-rack form; the fleet form is
- *  FleetConfig). */
-struct ServerConfig
-{
-    /** Rack-execution workers; <= 0 picks
-     *  common::Executor::defaultWorkerCount() (hardware concurrency
-     *  clamped to >= 1). */
-    int workers = 0;
-    /** Maximum queued (not yet dispatched) jobs; a submit beyond
-     *  this is Rejected immediately. Clamped to >= 1. */
-    std::size_t queueDepth = 256;
-    /** Maximum jobs coalesced into one rack batch. Clamped to
-     *  >= 1. */
-    std::size_t maxBatch = 32;
-    /** Execution back end the dispatcher drives. */
-    DispatchBackend backend = DispatchBackend::Direct;
-    /** Per-rack compiled-program cache capacity (Compiled back end;
-     *  see ServiceConfig::programCacheEntries). */
-    std::size_t programCacheEntries = 256;
-};
-
 /** Fleet-serving tuning knobs. */
 struct FleetConfig
 {
@@ -188,10 +170,12 @@ struct FleetConfig
     int racks = 1;
     /** Per-rack static configuration. */
     RackConfig rack;
-    /** Execution workers per rack; <= 0 picks the executor
-     *  default. */
+    /** Execution workers per rack; <= 0 picks
+     *  common::Executor::defaultWorkerCount() (hardware concurrency
+     *  clamped to >= 1). */
     int workers = 0;
-    /** Per-rack queue depth (admission bound). Clamped to >= 1. */
+    /** Per-rack queue depth: a submit that finds every eligible
+     *  queue this full is Rejected immediately. Clamped to >= 1. */
     std::size_t queueDepth = 256;
     /** Maximum jobs coalesced into one rack batch. Clamped to
      *  >= 1. */
@@ -205,9 +189,10 @@ struct FleetConfig
      *  submit spills to the least-loaded rack (if that rack's queue
      *  is at most half the home's). 0 = maxBatch. */
     std::size_t spillQueueDepth = 0;
-    /** Execution back end every dispatcher drives. */
-    DispatchBackend backend = DispatchBackend::Direct;
-    /** Per-rack compiled-program cache capacity. */
+    /** Unread; see DispatchBackend. */
+    DispatchBackend backend = DispatchBackend::Compiled;
+    /** Per-rack compiled-program cache capacity (see
+     *  ServiceConfig::programCacheEntries). */
     std::size_t programCacheEntries = 256;
 };
 
@@ -304,16 +289,10 @@ struct ServerStats
 class Server
 {
   public:
-    /** Single-rack form over a borrowed rack (the historical
-     *  constructor): a fleet of one; the rack must outlive the
-     *  server. Joins the rack's own LibraryRegistry, so
-     *  swapLibrary() works here too. */
-    explicit Server(const Rack &rack, const ServerConfig &cfg = {});
-
     /**
-     * Fleet form: builds cfg.racks identical racks over `lib`
-     * (shared ownership) and one shared LibraryRegistry, then starts
-     * one dispatcher per rack.
+     * Builds cfg.racks identical racks over `lib` (shared ownership)
+     * and one shared LibraryRegistry, then starts one dispatcher per
+     * rack.
      * @throws std::invalid_argument when the library violates the
      *         controller contract
      */
@@ -332,7 +311,6 @@ class Server
     std::size_t queueDepth() const { return cfg_.queueDepth; }
     std::size_t maxBatch() const { return cfg_.maxBatch; }
     RoutingPolicy routing() const { return cfg_.routing; }
-    DispatchBackend backend() const { return cfg_.backend; }
 
     /** The fleet-shared library registry. */
     const std::shared_ptr<LibraryRegistry> &registry() const
@@ -414,17 +392,15 @@ class Server
         telemetry::LatencyHistogram totalLat;
     };
 
-    /** One rack's serving lane: the rack (owned by fleet-form
-     *  servers, borrowed by the legacy form), its RuntimeService,
-     *  its queue, and its dispatcher. Queue and accumulators are
-     *  guarded by the server-wide mu_ (routing needs a consistent
-     *  view of every queue anyway); the cv is per lane so a submit
-     *  wakes only the home rack's dispatcher. */
+    /** One rack's serving lane: the rack it owns, its
+     *  RuntimeService, its queue, and its dispatcher. Queue and
+     *  accumulators are guarded by the server-wide mu_ (routing needs
+     *  a consistent view of every queue anyway); the cv is per lane
+     *  so a submit wakes only the home rack's dispatcher. */
     struct Lane
     {
         int index = 0;
-        std::unique_ptr<Rack> owned;
-        const Rack *rack = nullptr;
+        std::unique_ptr<Rack> rack;
         std::unique_ptr<RuntimeService> svc;
         std::deque<Pending> queue;
         std::condition_variable work;
@@ -439,10 +415,6 @@ class Server
         telemetry::Counter *jobsCounter = nullptr;
         std::thread dispatcher;
     };
-
-    /** Shared ctor tail: clamp cfg, build the hash ring, start
-     *  dispatchers. Lanes must already hold rack+svc. */
-    void start();
 
     void dispatchLoop(Lane &lane);
 

@@ -21,69 +21,23 @@ struct CellResult
     uarch::ExecutionStats demand;
     PlaybackCounters play;
     /** Cold prefetches the model inserted for this cell (set by the
-     *  grid's replay; compiled back end only). */
+     *  grid's replay). */
     std::uint64_t prefetchesIssued = 0;
 };
 
 /**
  * Play one shard's slice of one circuit: stats-only demand accounting
- * on the shard's controller plus a decode of every gate pulse's
- * windows, recorded into the cell's log (the direct, schedule-walking
- * back end).
+ * on the shard's controller, then the slice's program — fetched from
+ * the program cache or compiled on a miss — driven by the interpreter,
+ * which records what it plays and prefetches into the cell's log.
  */
 CellResult
 playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
-          const circuits::Schedule &part, WindowEventLog &log)
+          const circuits::Schedule &part, const isa::Compiler &compiler,
+          isa::ProgramCache &cache, std::uint64_t cfgHash,
+          WindowEventLog &log)
 {
     COMPAQT_TRACE_SPAN("shard", "shard.play", "shard",
-                       static_cast<std::uint64_t>(shard), "events",
-                       part.events.size());
-    CellResult cell;
-    cell.demand = rack.controller(shard).execute(part, *vlib);
-
-    WindowPlayer player(rack, vlib, &log);
-    for (const auto &e : part.events) {
-        const auto id = uarch::gateIdFor(e.gate);
-        if (!id)
-            continue; // virtual op
-        const core::CompressedEntry *entry = vlib.find(*id);
-        if (!entry)
-            continue; // counted in demand.missingGates
-        ++cell.play.gates;
-        // Baseline (uncompressed) controllers stream raw samples with
-        // no decompression pipeline, so playback touches neither the
-        // compressed payload nor the model.
-        if (!player.decodes()) {
-            cell.play.samples += entry->cw.stats().originalSamples;
-            continue;
-        }
-        for (std::uint8_t ch = 0; ch < 2; ++ch) {
-            const auto &channel =
-                ch == 0 ? entry->cw.i : entry->cw.q;
-            const auto nwin =
-                static_cast<std::uint32_t>(channel.numWindows());
-            if (nwin > 0)
-                player.playWindows(*id, *entry, ch, 0, nwin,
-                                   cell.play);
-        }
-    }
-    return cell;
-}
-
-/**
- * The instruction-stream back end's cell: identical demand
- * accounting, but playback is lowered to a per-shard program first
- * and driven by the interpreter — through the same WindowPlayer, so
- * the playback tallies are bit-identical to playShard's.
- */
-CellResult
-playShardCompiled(const Rack &rack, const VersionedLibrary &vlib,
-                  int shard, const circuits::Schedule &part,
-                  const isa::Compiler &compiler,
-                  isa::ProgramCache &cache, std::uint64_t cfgHash,
-                  WindowEventLog &log)
-{
-    COMPAQT_TRACE_SPAN("shard", "shard.play_compiled", "shard",
                        static_cast<std::uint64_t>(shard), "events",
                        part.events.size());
     CellResult cell;
@@ -108,16 +62,13 @@ playShardCompiled(const Rack &rack, const VersionedLibrary &vlib,
 }
 
 /** Fold the compiler knobs that shape the emitted stream into the
- *  program-cache key, FNV-1a style like scheduleFingerprint. */
+ *  program-cache key with scheduleFingerprint's word fold. */
 std::uint64_t
 compilerCfgHash(const isa::CompilerConfig &cfg)
 {
     std::uint64_t h = 0xCBF29CE484222325ull;
     const auto fold = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFFu;
-            h *= 0x100000001B3ull;
-        }
+        h = circuits::fingerprintFold(h, v);
     };
     fold(cfg.instructionMemoryWords);
     fold(cfg.prefetchLeadCycles);
@@ -199,19 +150,19 @@ finalizeFleet(RackStats &stats)
 }
 
 /**
- * The shared batch skeleton both back ends run: partition every
- * schedule, execute the (circuit, shard) grid concurrently through
- * `cellFn` (each cell recording into its own event log), then reduce
- * serially in a fixed order — replaying the logs into the rack's
- * waveform-memory model in (circuit, shard) order first — so no
- * rolled-up number, model counters included, depends on worker
- * interleaving.
+ * The batch skeleton: partition every schedule, play the (circuit,
+ * shard) grid concurrently (each cell recording into its own event
+ * log), then reduce serially in a fixed order — replaying the logs
+ * into the rack's waveform-memory model in (circuit, shard) order
+ * first — so no rolled-up number, model counters included, depends
+ * on worker interleaving.
  */
-template <typename CellFn>
 BatchExecution
 runGrid(const Rack &rack, const VersionedLibrary &vlib,
         common::Executor &exec,
-        const std::vector<circuits::Schedule> &batch, CellFn &&cellFn)
+        const std::vector<circuits::Schedule> &batch,
+        const isa::Compiler &compiler, isa::ProgramCache &programs,
+        std::uint64_t cfgHash)
 {
     const int n_shards = rack.numShards();
     const auto n_cells =
@@ -239,8 +190,9 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
         const std::size_t c = i / static_cast<std::size_t>(n_shards);
         const int s = static_cast<int>(
             i % static_cast<std::size_t>(n_shards));
-        cells[i] =
-            cellFn(s, parts[c][static_cast<std::size_t>(s)], logs[i]);
+        cells[i] = playShard(rack, vlib, s,
+                             parts[c][static_cast<std::size_t>(s)],
+                             compiler, programs, cfgHash, logs[i]);
     });
     // Reached only when every cell succeeded: a batch that throws
     // leaves the model exactly as it found it.
@@ -309,48 +261,6 @@ RuntimeService::RuntimeService(const Rack &rack,
 {
 }
 
-RackStats
-RuntimeService::execute(const circuits::Schedule &sched)
-{
-    return executeBatch({sched});
-}
-
-RackStats
-RuntimeService::executeBatch(
-    const std::vector<circuits::Schedule> &batch)
-{
-    return executeBatchPerJob(batch).total;
-}
-
-BatchExecution
-RuntimeService::executeBatchPerJob(
-    const std::vector<circuits::Schedule> &batch)
-{
-    // Pin one library epoch for the whole batch: every cell sees the
-    // same calibration even if a hot-swap lands mid-batch.
-    const VersionedLibrary vlib = rack_.currentLibrary();
-    return runGrid(rack_, vlib, exec_, batch,
-                   [this, &vlib](int s, const circuits::Schedule &part,
-                                 WindowEventLog &log) {
-                       return playShard(rack_, vlib, s, part, log);
-                   });
-}
-
-RackStats
-RuntimeService::executeCompiled(const circuits::Schedule &sched,
-                                const isa::CompilerConfig &cfg)
-{
-    return executeBatchCompiled({sched}, cfg);
-}
-
-RackStats
-RuntimeService::executeBatchCompiled(
-    const std::vector<circuits::Schedule> &batch,
-    const isa::CompilerConfig &cfg)
-{
-    return executeBatchCompiledPerJob(batch, cfg).total;
-}
-
 BatchExecution
 RuntimeService::executeBatchCompiledPerJob(
     const std::vector<circuits::Schedule> &batch,
@@ -366,14 +276,8 @@ RuntimeService::executeBatchCompiledPerJob(
     // Sweep artifacts of retired epochs once per batch — they are
     // unreachable (the key carries the version) and only waste slots.
     progCache_.dropStale(vlib.version);
-    const std::uint64_t cfg_hash = compilerCfgHash(cfg);
-    return runGrid(
-        rack_, vlib, exec_, batch,
-        [this, &vlib, &compiler, cfg_hash](
-            int s, const circuits::Schedule &part, WindowEventLog &log) {
-            return playShardCompiled(rack_, vlib, s, part, compiler,
-                                     progCache_, cfg_hash, log);
-        });
+    return runGrid(rack_, vlib, exec_, batch, compiler, progCache_,
+                   compilerCfgHash(cfg));
 }
 
 } // namespace compaqt::runtime

@@ -7,12 +7,15 @@
  * (fleet demand, waveform-memory model counters, wall-clock
  * throughput).
  *
- * Playback decodes every scheduled gate's I/Q channels in window
- * batches, every time — the way COMPAQT decompresses on the way to
- * the DACs. Each cell records the ranges it played; once the whole
- * grid has succeeded, the serial reduction replays those records into
- * the rack's waveform-memory model in (circuit, shard) order, which
- * is what makes the model's counters deterministic.
+ * There is one execution path, the instruction-driven one of
+ * COMPAQT's controller (Fig 6): each cell fetches its shard slice's
+ * PLAY/WAIT/PREFETCH program from the program cache (compiling it on
+ * a miss) and interprets it. Playback decodes every played window,
+ * every time — the way COMPAQT decompresses on the way to the DACs.
+ * Each cell records the ranges it played and prefetched; once the
+ * whole grid has succeeded, the serial reduction replays those
+ * records into the rack's waveform-memory model in (circuit, shard)
+ * order, which is what makes the model's counters deterministic.
  */
 
 #ifndef COMPAQT_RUNTIME_SERVICE_HH
@@ -46,10 +49,9 @@ struct ShardStats
      *  bypass as constant fills (never transformed, never in the
      *  model). */
     std::uint64_t samplesBypassed = 0;
-    /** PREFETCH ops the model's replay found cold and inserted
-     *  (instruction-stream back end only; zero on the direct path).
-     *  Deterministic at any worker count, but excluded from the two
-     *  back ends' bit-identity contract, like the model counters. */
+    /** PREFETCH ops the model's replay found cold and inserted.
+     *  Deterministic at any worker count; like the model counters it
+     *  depends on the model state the batch found. */
     std::uint64_t prefetchesIssued = 0;
 };
 
@@ -75,8 +77,7 @@ struct RackStats
      *  plan): dropped by partitioning, reported here so a
      *  schedule/device size mismatch is visible, not silent. */
     std::uint64_t unownedEvents = 0;
-    /** Fleet sum of ShardStats::prefetchesIssued (zero on the direct
-     *  path; excluded from back-end bit-identity). */
+    /** Fleet sum of ShardStats::prefetchesIssued. */
     std::uint64_t prefetchesIssued = 0;
 
     /** Waveform-memory model counters of this batch alone: the
@@ -84,9 +85,9 @@ struct RackStats
      *  lock and returns what they added, so concurrent services on
      *  one Rack never fold into each other's counters. A pure
      *  function of the model state the batch found and the batch —
-     *  bit-identical at any worker count on both back ends. A batch
-     *  that throws never touches the model. (entries/residentSamples
-     *  are the model's state after the replay.) */
+     *  bit-identical at any worker count. A batch that throws never
+     *  touches the model. (entries/residentSamples are the model's
+     *  state after the replay.) */
     DecodedCacheStats cache;
     double cacheHitRate = 0.0;
 
@@ -117,7 +118,7 @@ struct ServiceConfig
  */
 struct BatchExecution
 {
-    /** Whole-batch rollup, identical to executeBatch()'s return. */
+    /** Whole-batch rollup. */
     RackStats total;
     /**
      * The library epoch the whole batch executed under. Batches pin
@@ -143,8 +144,8 @@ struct BatchExecution
  * Executes batches of scheduled circuits on one Rack. Every RackStats
  * field but the wall-clock ones is bit-identical across worker
  * counts: every (circuit, shard) cell is a pure function of its
- * schedule slice, computed independently and reduced — model replay
- * included — in a fixed order.
+ * schedule slice and its compiled program, computed independently and
+ * reduced — model replay included — in a fixed order.
  */
 class RuntimeService
 {
@@ -153,41 +154,22 @@ class RuntimeService
 
     int workers() const { return exec_.workers(); }
 
-    /** Execute one scheduled circuit (a batch of one). */
-    RackStats execute(const circuits::Schedule &sched);
-
-    /** Execute a batch of scheduled circuits across the fleet. */
-    RackStats
-    executeBatch(const std::vector<circuits::Schedule> &batch);
-
-    /** Execute a batch and additionally roll up each schedule's own
-     *  cells (see BatchExecution). */
-    BatchExecution
-    executeBatchPerJob(const std::vector<circuits::Schedule> &batch);
-
     /**
-     * Execute through the instruction-stream back end: each cell is
-     * lowered to a per-shard PLAY/WAIT/PREFETCH program by
-     * isa::Compiler and driven by isa::Interpreter against the same
-     * model. Every demand and playback RackStats field (per-shard
-     * demand and playback tallies, fleet rollups, missingGates,
-     * unownedEvents, feasible) is bit-identical to executeBatch() at
-     * any worker count; the model counters and prefetchesIssued
-     * differ by design — prefetching is the point — but are
-     * themselves worker-count independent.
+     * Execute a batch with per-schedule rollups (see BatchExecution);
+     * `.total` is the whole batch. Each cell fetches its shard
+     * slice's program from the program cache, compiling it with
+     * isa::Compiler under `cfg` on a miss, and drives it through
+     * isa::Interpreter against the rack's model. Per shard slice,
+     * every event whose gate the pinned library holds plays once:
+     * one gate, every window of both channels (all of its samples on
+     * an uncompressed rack), and demand is the shard controller's
+     * stats-only execute(). The model counters and prefetchesIssued
+     * depend on the emitted PREFETCHes and the model state, but not
+     * on the worker count.
      * @throws std::invalid_argument when a shard's mandatory stream
-     *         exceeds cfg.instructionMemoryWords
+     *         exceeds cfg.instructionMemoryWords — the whole batch
+     *         fails and the model is left untouched
      */
-    RackStats
-    executeCompiled(const circuits::Schedule &sched,
-                    const isa::CompilerConfig &cfg = {});
-
-    /** Batch form of executeCompiled(). */
-    RackStats
-    executeBatchCompiled(const std::vector<circuits::Schedule> &batch,
-                         const isa::CompilerConfig &cfg = {});
-
-    /** Compiled back end with per-schedule rollups. */
     BatchExecution executeBatchCompiledPerJob(
         const std::vector<circuits::Schedule> &batch,
         const isa::CompilerConfig &cfg = {});

@@ -368,6 +368,51 @@ TEST(Schedule, PartitionRoutesRepeatedGateToOneOwner)
     EXPECT_DOUBLE_EQ(parts[1].makespan, s.makespan);
 }
 
+TEST(Schedule, FingerprintCoversEveryField)
+{
+    // The program cache keys compiled programs by this fingerprint,
+    // so it must separate any two schedules that differ in content:
+    // byte-identical copies agree, and a change to any one field —
+    // doubles by bit pattern, so 0.0 vs -0.0 too — moves it.
+    Schedule base;
+    base.events.push_back({{Op::X, {0}, 0.0}, 0.0, 30e-9, {0}});
+    base.events.push_back({{Op::CX, {1, 2}, 0.0}, 0.0, 300e-9, {1, 2}});
+    base.events.push_back({{Op::Rx, {3}, 0.25}, 30e-9, 30e-9, {3}});
+    base.events.push_back({{Op::Measure, {0}, 0.0}, 30e-9, 300e-9, {0}});
+    base.makespan = 330e-9;
+    const std::uint64_t fp = scheduleFingerprint(base);
+    const Schedule copy = base;
+    EXPECT_EQ(scheduleFingerprint(copy), fp);
+
+    const auto changed = [&](const char *what, auto edit) {
+        Schedule s = base;
+        edit(s);
+        EXPECT_NE(scheduleFingerprint(s), fp) << what;
+    };
+    changed("op", [](Schedule &s) { s.events[0].gate.op = Op::SX; });
+    changed("a qubit",
+            [](Schedule &s) { s.events[1].gate.qubits[1] = 4; });
+    changed("param",
+            [](Schedule &s) { s.events[2].gate.param = 0.5; });
+    changed("start", [](Schedule &s) { s.events[1].start += 1e-9; });
+    changed("duration",
+            [](Schedule &s) { s.events[0].duration *= 2.0; });
+    changed("a channel",
+            [](Schedule &s) { s.events[1].channels[0] = 3; });
+    changed("event count",
+            [](Schedule &s) { s.events.push_back(s.events.back()); });
+    changed("event order", [](Schedule &s) {
+        std::swap(s.events[0], s.events[1]);
+    });
+    changed("makespan", [](Schedule &s) { s.makespan += 1e-9; });
+
+    Schedule pos = base;
+    Schedule neg = base;
+    pos.events[0].gate.param = 0.0;
+    neg.events[0].gate.param = -0.0;
+    EXPECT_NE(scheduleFingerprint(pos), scheduleFingerprint(neg));
+}
+
 TEST(Schedule, BandwidthScalesWithConcurrency)
 {
     Circuit c(10);

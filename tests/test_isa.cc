@@ -5,9 +5,10 @@
  * and serialization, the cache-aware list-scheduling compiler (WAIT
  * gaps, gate-table dedupe, prefetch lead/budget discipline,
  * instruction-memory bounds), and the headline acceptance contract —
- * executeBatchCompiled produces bit-identical deterministic RackStats
- * to the direct path on the full test device suite at 1 and N
- * workers, while prefetching raises the cold cache hit rate.
+ * the service's one execution path produces exactly the deterministic
+ * RackStats a schedule-and-library oracle predicts on the full test
+ * device suite at 1 and N workers, while prefetching raises the cold
+ * cache hit rate.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "isa/compiler.hh"
 #include "isa/interpreter.hh"
 #include "isa/isa.hh"
+#include "rack_oracle.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
 #include "telemetry/trace.hh"
@@ -481,11 +483,10 @@ TEST_F(IsaCompilerTest, CompileCoversEveryShardAndReportsUnowned)
     EXPECT_EQ(played, 5u);
 }
 
-// ------------------------------------------- compiled-vs-direct identity
+// ------------------------------------------------ identity to the oracle
 
-/** The deterministic-field identity contract between the two back
- *  ends: everything except cache counters, wall-clock rates, and
- *  prefetchesIssued. */
+/** The deterministic-field identity contract: everything except cache
+ *  counters, wall-clock rates, and prefetchesIssued. */
 void
 expectIdenticalStats(const runtime::RackStats &a,
                      const runtime::RackStats &b, const char *tag)
@@ -534,7 +535,7 @@ expectIdenticalStats(const runtime::RackStats &a,
     EXPECT_EQ(a.unownedEvents, b.unownedEvents) << tag;
 }
 
-TEST(IsaExecution, CompiledMatchesDirectAcrossDeviceSuite)
+TEST(IsaExecution, MatchesOracleAcrossDeviceSuite)
 {
     struct Case
     {
@@ -561,18 +562,15 @@ TEST(IsaExecution, CompiledMatchesDirectAcrossDeviceSuite)
         const std::vector<circuits::Schedule> batch = {tc.sched,
                                                        tc.sched};
 
-        const runtime::Rack direct(
-            tc.dev, clib, rackConfig(clib, tc.shards, 4096));
-        runtime::RuntimeService dsvc(direct, {.workers = 1});
-        const auto base = dsvc.executeBatch(batch);
-        EXPECT_GT(base.totalGates, 0u) << tc.name;
-        EXPECT_EQ(base.missingGates, 0u) << tc.name;
-
         for (const int workers : {1, 4}) {
             const runtime::Rack rack(
                 tc.dev, clib, rackConfig(clib, tc.shards, 4096));
+            const auto base = oracle::rackStats(rack, batch);
+            EXPECT_GT(base.totalGates, 0u) << tc.name;
+            EXPECT_EQ(base.missingGates, 0u) << tc.name;
             runtime::RuntimeService svc(rack, {.workers = workers});
-            const auto compiled = svc.executeBatchCompiled(batch);
+            const auto compiled =
+                svc.executeBatchCompiledPerJob(batch).total;
             expectIdenticalStats(base, compiled, tc.name);
             EXPECT_GT(compiled.prefetchesIssued, 0u)
                 << tc.name << " workers " << workers;
@@ -580,13 +578,13 @@ TEST(IsaExecution, CompiledMatchesDirectAcrossDeviceSuite)
     }
 }
 
-TEST(IsaExecution, CompiledMatchesDirectOnTieredRacks)
+TEST(IsaExecution, MatchesOracleOnTieredRacks)
 {
-    // The hierarchy acceptance contract through the compiled back
-    // end: a tiered rack under every admission policy produces the
-    // same deterministic RackStats as a flat single-tier rack on the
-    // direct path, at 1 and N workers, while the tiers actually
-    // engage (windows staged or demoted into tier 1).
+    // The hierarchy acceptance contract: a tiered rack under every
+    // admission policy produces the deterministic RackStats the
+    // oracle predicts for a flat single-tier rack, at 1 and N
+    // workers, while the tiers actually engage (windows staged or
+    // demoted into tier 1).
     const auto dev = waveform::DeviceModel::ibm("guadalupe");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
@@ -594,8 +592,7 @@ TEST(IsaExecution, CompiledMatchesDirectOnTieredRacks)
     const std::vector<circuits::Schedule> batch = {sched, sched};
 
     const runtime::Rack flat(dev, clib, rackConfig(clib, 2, 4096));
-    runtime::RuntimeService ref(flat, {.workers = 1});
-    const auto base = ref.executeBatch(batch);
+    const auto base = oracle::rackStats(flat, batch);
     ASSERT_GT(base.totalGates, 0u);
 
     using runtime::AdmissionPolicy;
@@ -607,7 +604,7 @@ TEST(IsaExecution, CompiledMatchesDirectOnTieredRacks)
             rc.admission = policy;
             const runtime::Rack rack(dev, clib, rc);
             runtime::RuntimeService svc(rack, {.workers = workers});
-            const auto got = svc.executeBatchCompiled(batch);
+            const auto got = svc.executeBatchCompiledPerJob(batch).total;
             const std::string tag =
                 std::string(runtime::admissionPolicyName(policy)) +
                 " workers " + std::to_string(workers);
@@ -620,7 +617,7 @@ TEST(IsaExecution, CompiledMatchesDirectOnTieredRacks)
     }
 }
 
-TEST(IsaExecution, UncompressedBaselineRunsIdenticallyCompiled)
+TEST(IsaExecution, UncompressedBaselineMatchesOracle)
 {
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
@@ -631,9 +628,9 @@ TEST(IsaExecution, UncompressedBaselineRunsIdenticallyCompiled)
     const runtime::Rack rack(dev, clib, rc);
     runtime::RuntimeService svc(rack, {.workers = 2});
     const auto sched = deviceWorkload(dev);
-    const auto a = svc.executeBatch({sched});
-    const auto b = svc.executeBatchCompiled({sched});
-    expectIdenticalStats(a, b, "uncompressed");
+    const auto b = svc.executeBatchCompiledPerJob({sched}).total;
+    expectIdenticalStats(oracle::rackStats(rack, {sched}), b, "uncompressed");
+    EXPECT_GT(b.totalSamples, 0u);
     EXPECT_EQ(b.totalWindows, 0u);
     EXPECT_EQ(b.prefetchesIssued, 0u);
     EXPECT_EQ(b.cache.prefetches, 0u);
@@ -650,9 +647,8 @@ TEST(IsaExecution, UnownedEventsReportedIdentically)
     for (int q = 0; q < 8; ++q)
         c.x(q);
     const auto sched = circuits::schedule(c, {});
-    const auto a = svc.executeBatch({sched});
-    const auto b = svc.executeBatchCompiled({sched});
-    expectIdenticalStats(a, b, "unowned");
+    const auto b = svc.executeBatchCompiledPerJob({sched}).total;
+    expectIdenticalStats(oracle::rackStats(rack, {sched}), b, "unowned");
     EXPECT_EQ(b.unownedEvents, 3u);
     EXPECT_EQ(b.totalGates, 5u);
 }
@@ -660,7 +656,7 @@ TEST(IsaExecution, UnownedEventsReportedIdentically)
 TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
 {
     // The decode plane's backend choice must be invisible end to
-    // end: executeBatchCompiled (coalesced PLAY ranges, prefetch
+    // end: a service batch (coalesced PLAY ranges, prefetch
     // events, model replay) under a forced-scalar dispatch and under
     // every SIMD backend the host supports must produce identical
     // RackStats and model counters, and the batch decode primitive
@@ -678,7 +674,7 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
         const runtime::Rack rack(dev, clib,
                                  rackConfig(clib, 2, 1 << 14));
         runtime::RuntimeService svc(rack, {.workers = 1});
-        const auto stats = svc.executeBatchCompiled({sched});
+        const auto stats = svc.executeBatchCompiledPerJob({sched}).total;
         // Decode every channel the way playback does: batches of
         // kBatchWindows windows into one scratch buffer.
         constexpr std::size_t kBatch =
@@ -724,8 +720,9 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
 TEST(IsaExecution, PrefetchRaisesColdCacheHitRate)
 {
     // The tentpole claim: on a cold cache, PREFETCH hoisting turns
-    // first-use demand misses into hits, so the compiled back end's
-    // hit rate strictly beats the direct path on the same workload.
+    // first-use demand misses into hits, so the default program's
+    // hit rate strictly beats the same program without its
+    // PREFETCHes on the same workload.
     const auto sc = circuits::surface17();
     const auto dev = waveform::DeviceModel::synthetic(
         "surface17-device", sc.totalQubits(),
@@ -734,17 +731,21 @@ TEST(IsaExecution, PrefetchRaisesColdCacheHitRate)
     const auto clib = buildCompressed(lib);
     const auto sched = circuits::schedule(sc.circuit, {});
 
-    const runtime::Rack directRack(dev, clib,
-                                   rackConfig(clib, 1, 1 << 15));
-    runtime::RuntimeService direct(directRack, {.workers = 1});
-    const auto cold = direct.execute(sched);
+    const runtime::Rack bareRack(dev, clib,
+                                 rackConfig(clib, 1, 1 << 15));
+    runtime::RuntimeService bare(bareRack, {.workers = 1});
+    const auto cold =
+        bare.executeBatchCompiledPerJob({sched}, {.emitPrefetch = false})
+            .total;
 
-    const runtime::Rack compiledRack(dev, clib,
+    const runtime::Rack prefetchRack(dev, clib,
                                      rackConfig(clib, 1, 1 << 15));
-    runtime::RuntimeService compiled(compiledRack, {.workers = 1});
-    const auto warm = compiled.executeCompiled(sched);
+    runtime::RuntimeService prefetching(prefetchRack, {.workers = 1});
+    const auto warm = prefetching.executeBatchCompiledPerJob({sched}).total;
 
     expectIdenticalStats(cold, warm, "qec");
+    EXPECT_EQ(cold.prefetchesIssued, 0u);
+    EXPECT_EQ(cold.cache.prefetches, 0u);
     EXPECT_GT(warm.prefetchesIssued, 0u);
     EXPECT_EQ(warm.cache.prefetches, warm.prefetchesIssued);
     EXPECT_GT(warm.cache.prefetchHits, 0u);
@@ -1223,22 +1224,64 @@ TEST(IsaExecution, ServiceProgramCacheServesRepeatBatches)
     runtime::RuntimeService svc(rack, {.workers = 1});
     const auto sched = deviceWorkload(dev);
 
-    const auto first = svc.executeBatchCompiled({sched});
+    const auto first = svc.executeBatchCompiledPerJob({sched}).total;
     const auto cold = svc.programCacheStats();
     EXPECT_EQ(cold.hits, 0u);
     EXPECT_GT(cold.insertions, 0u);
 
-    const auto second = svc.executeBatchCompiled({sched});
+    const auto second = svc.executeBatchCompiledPerJob({sched}).total;
     const auto warm = svc.programCacheStats();
     EXPECT_EQ(warm.insertions, cold.insertions); // nothing recompiled
     EXPECT_GT(warm.hits, 0u);
     expectIdenticalStats(first, second, "cached replay");
 
     rack.swapLibrary(libB);
-    svc.executeBatchCompiled({sched});
+    svc.executeBatchCompiledPerJob({sched});
     const auto swapped = svc.programCacheStats();
     EXPECT_GT(swapped.insertions, warm.insertions); // recompiled
     EXPECT_GT(swapped.staleDropped, 0u);            // old swept
+}
+
+TEST(IsaExecution, StreamShapingConfigsMissEachOtherInProgramCache)
+{
+    // The program-cache key folds every CompilerConfig field that
+    // shapes the emitted stream: a config differing from the default
+    // in one of them compiles its own programs instead of being
+    // served the default's, and the default still hits its own.
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    const auto clib = buildCompressed(waveform::PulseLibrary::build(dev));
+    const runtime::Rack rack(dev, clib, rackConfig(clib, 2, 1 << 12));
+    const std::vector<circuits::Schedule> batch = {deviceWorkload(dev)};
+    const CompilerConfig base;
+    struct Variant
+    {
+        const char *field;
+        CompilerConfig cfg;
+    };
+    const Variant variants[] = {
+        {"instructionMemoryWords",
+         {.instructionMemoryWords = base.instructionMemoryWords + 1}},
+        {"prefetchLeadCycles",
+         {.prefetchLeadCycles = base.prefetchLeadCycles + 1}},
+        {"maxOutstandingPrefetches",
+         {.maxOutstandingPrefetches = base.maxOutstandingPrefetches + 1}},
+        {"emitPrefetch", {.emitPrefetch = !base.emitPrefetch}},
+        {"tier0ReuseDistance",
+         {.tier0ReuseDistance = base.tier0ReuseDistance + 1}},
+    };
+    for (const auto &v : variants) {
+        runtime::RuntimeService svc(rack, {.workers = 1});
+        svc.executeBatchCompiledPerJob(batch, base);
+        const auto warm = svc.programCacheStats();
+        ASSERT_EQ(warm.misses, 2u) << v.field;
+        svc.executeBatchCompiledPerJob(batch, v.cfg);
+        const auto other = svc.programCacheStats();
+        EXPECT_EQ(other.hits, warm.hits) << v.field;
+        EXPECT_EQ(other.misses, warm.misses + 2) << v.field;
+        svc.executeBatchCompiledPerJob(batch, base);
+        EXPECT_EQ(svc.programCacheStats().hits, other.hits + 2)
+            << v.field;
+    }
 }
 
 } // namespace

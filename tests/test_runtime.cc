@@ -752,7 +752,8 @@ TEST_F(RackSurface49, StatsRollupIsConsistent)
     // the batch's second circuit replays from cache.
     const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
     RuntimeService svc(rack, {.workers = 1});
-    const auto stats = svc.executeBatch({*sched_, *sched_});
+    const auto stats =
+        svc.executeBatchCompiledPerJob({*sched_, *sched_}).total;
 
     ASSERT_EQ(stats.shards.size(), 4u);
     std::uint64_t gates = 0, samples = 0, windows = 0;
@@ -790,7 +791,7 @@ TEST_F(RackSurface49, WorkerCountDoesNotChangeDemand)
     for (const int workers : {1, 8}) {
         const Rack rack(*dev_, *clib_, rackConfig(8, 4096));
         RuntimeService svc(rack, {.workers = workers});
-        runs.push_back(svc.executeBatch(batch));
+        runs.push_back(svc.executeBatchCompiledPerJob(batch).total);
     }
     const auto &one = runs[0], &many = runs[1];
     ASSERT_EQ(one.shards.size(), many.shards.size());
@@ -828,7 +829,7 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
     const std::vector<circuits::Schedule> batch = {*sched_, *sched_};
     const Rack flat(*dev_, *clib_, rackConfig(8, 4096));
     RuntimeService ref(flat, {.workers = 1});
-    const auto base = ref.executeBatch(batch);
+    const auto base = ref.executeBatchCompiledPerJob(batch).total;
 
     for (const auto policy :
          {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
@@ -838,7 +839,7 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
             rc.admission = policy;
             const Rack rack(*dev_, *clib_, rc);
             RuntimeService svc(rack, {.workers = workers});
-            const auto got = svc.executeBatch(batch);
+            const auto got = svc.executeBatchCompiledPerJob(batch).total;
             const std::string tag =
                 std::string(admissionPolicyName(policy)) +
                 " workers " + std::to_string(workers);
@@ -908,10 +909,10 @@ expectSameModelCounters(const DecodedCacheStats &a,
 TEST_F(RackSurface49, ModelCountersIdenticalAcrossWorkerCounts)
 {
     // The model joins the determinism contract: cells record their
-    // plays in parallel and the grid replays them in (circuit, shard)
-    // order, so every RackStats.cache counter (and every shard's
-    // prefetchesIssued) is bit-identical at 1 and 4 workers, on both
-    // back ends, batch after batch — under eviction pressure on a
+    // plays and prefetches in parallel and the grid replays them in
+    // (circuit, shard) order, so every RackStats.cache counter (and
+    // every shard's prefetchesIssued) is bit-identical at 1 and 4
+    // workers, batch after batch — under eviction pressure on a
     // single-tier admit-always rack and a two-tier TinyLfu rack.
     const std::vector<circuits::Schedule> batch = {*sched_, *sched_};
     RackConfig flat = rackConfig(4, 2048);
@@ -922,39 +923,31 @@ TEST_F(RackSurface49, ModelCountersIdenticalAcrossWorkerCounts)
         {"single-tier admit-always", flat},
         {"two-tier tinylfu", tiered}};
     for (const auto &[name, rc] : racks) {
-        for (const bool compiled : {false, true}) {
-            std::vector<std::vector<RackStats>> runs;
-            for (const int workers : {1, 4}) {
-                const Rack rack(*dev_, *clib_, rc);
-                RuntimeService svc(rack, {.workers = workers});
-                auto &seq = runs.emplace_back();
-                for (int round = 0; round < 3; ++round)
-                    seq.push_back(compiled
-                                      ? svc.executeBatchCompiled(batch)
-                                      : svc.executeBatch(batch));
-            }
-            for (std::size_t round = 0; round < runs[0].size();
-                 ++round) {
-                const std::string tag =
-                    std::string(name) +
-                    (compiled ? " compiled" : " direct") + " round " +
-                    std::to_string(round);
-                const auto &one = runs[0][round];
-                const auto &four = runs[1][round];
-                expectSameModelCounters(one.cache, four.cache, tag);
-                EXPECT_EQ(one.prefetchesIssued, four.prefetchesIssued)
-                    << tag;
-                for (std::size_t s = 0; s < one.shards.size(); ++s)
-                    EXPECT_EQ(one.shards[s].prefetchesIssued,
-                              four.shards[s].prefetchesIssued)
-                        << tag << " shard " << s;
-            }
-            // The racks really were under pressure.
-            EXPECT_GT(runs[0][0].cache.evictions +
-                          runs[0][0].cache.demotions,
-                      0u)
-                << name;
+        std::vector<std::vector<RackStats>> runs;
+        for (const int workers : {1, 4}) {
+            const Rack rack(*dev_, *clib_, rc);
+            RuntimeService svc(rack, {.workers = workers});
+            auto &seq = runs.emplace_back();
+            for (int round = 0; round < 3; ++round)
+                seq.push_back(svc.executeBatchCompiledPerJob(batch).total);
         }
+        for (std::size_t round = 0; round < runs[0].size(); ++round) {
+            const std::string tag =
+                std::string(name) + " round " + std::to_string(round);
+            const auto &one = runs[0][round];
+            const auto &four = runs[1][round];
+            expectSameModelCounters(one.cache, four.cache, tag);
+            EXPECT_EQ(one.prefetchesIssued, four.prefetchesIssued)
+                << tag;
+            for (std::size_t s = 0; s < one.shards.size(); ++s)
+                EXPECT_EQ(one.shards[s].prefetchesIssued,
+                          four.shards[s].prefetchesIssued)
+                    << tag << " shard " << s;
+        }
+        // The racks really were under pressure.
+        EXPECT_GT(runs[0][0].cache.evictions + runs[0][0].cache.demotions,
+                  0u)
+            << name;
     }
 }
 
@@ -981,11 +974,12 @@ TEST_F(RackSurface49, ThrowingBatchLeavesTheModelUntouched)
     const isa::CompilerConfig cfg{.instructionMemoryWords = words};
 
     RuntimeService svc(rack, {.workers = 1});
-    EXPECT_GT(svc.executeBatchCompiled({small}, cfg).cache.misses, 0u);
+    EXPECT_GT(svc.executeBatchCompiledPerJob({small}, cfg).total.cache.misses,
+              0u);
     const auto before = rack.cache().stats();
     // One worker runs the cells in order: the small schedule's cells
     // all complete before the first surface-code cell throws.
-    EXPECT_THROW(svc.executeBatchCompiled({small, *sched_}, cfg),
+    EXPECT_THROW(svc.executeBatchCompiledPerJob({small, *sched_}, cfg),
                  std::invalid_argument);
     expectSameModelCounters(before, rack.cache().stats(),
                             "after the throwing batch");
@@ -995,8 +989,8 @@ TEST_F(RackSurface49, HotBatchRunsAlmostEntirelyFromCache)
 {
     const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
     RuntimeService svc(rack, {.workers = 2});
-    svc.execute(*sched_); // cold pass fills the cache
-    const auto warm = svc.execute(*sched_);
+    svc.executeBatchCompiledPerJob({*sched_}); // cold pass fills the cache
+    const auto warm = svc.executeBatchCompiledPerJob({*sched_}).total;
     EXPECT_GT(warm.cacheHitRate, 0.99);
     EXPECT_EQ(warm.cache.evictions, 0u);
 }
@@ -1023,7 +1017,8 @@ TEST(RackUncompressed, BaselineRackSkipsDecodeAndCache)
     for (int q = 0; q < 5; ++q)
         c.x(q);
     c.measureAll();
-    const auto stats = svc.execute(circuits::schedule(c, {}));
+    const auto stats =
+        svc.executeBatchCompiledPerJob({circuits::schedule(c, {})}).total;
     EXPECT_EQ(stats.totalGates, 10u);
     EXPECT_GT(stats.totalSamples, 0u);
     EXPECT_EQ(stats.totalWindows, 0u);
@@ -1050,7 +1045,8 @@ TEST(RackMismatch, ReportsEventsNoShardOwns)
     circuits::Circuit c(8);
     for (int q = 0; q < 8; ++q)
         c.x(q); // qubits 5-7 do not exist on the rack's device
-    const auto stats = svc.execute(circuits::schedule(c, {}));
+    const auto stats =
+        svc.executeBatchCompiledPerJob({circuits::schedule(c, {})}).total;
     EXPECT_EQ(stats.unownedEvents, 3u);
     EXPECT_EQ(stats.totalGates, 5u);
 }
@@ -1060,7 +1056,7 @@ TEST_F(RackSurface49, PerJobRollupsSumToBatchTotal)
     const Rack rack(*dev_, *clib_, rackConfig(4, 4096));
     RuntimeService svc(rack, {.workers = 2});
     const auto exec =
-        svc.executeBatchPerJob({*sched_, *sched_, *sched_});
+        svc.executeBatchCompiledPerJob({*sched_, *sched_, *sched_});
     ASSERT_EQ(exec.jobs.size(), 3u);
     std::uint64_t gates = 0, samples = 0, windows = 0;
     for (const auto &job : exec.jobs) {
@@ -1076,7 +1072,7 @@ TEST_F(RackSurface49, PerJobRollupsSumToBatchTotal)
     EXPECT_EQ(gates, exec.total.totalGates);
     EXPECT_EQ(samples, exec.total.totalSamples);
     EXPECT_EQ(windows, exec.total.totalWindows);
-    // The batch-level rollup is the executeBatch() contract.
+    // The model counters and wall clock live in the batch rollup.
     EXPECT_GT(exec.total.cache.hits + exec.total.cache.misses, 0u);
     EXPECT_GT(exec.total.wallSeconds, 0.0);
 }
@@ -1089,9 +1085,10 @@ TEST_F(RackSurface49, PerJobStatsIndependentOfBatchComposition)
     // deterministic.
     const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
     RuntimeService svc(rack, {.workers = 4});
-    const auto alone = svc.executeBatchPerJob({*sched_}).jobs[0];
-    const auto mixed =
-        svc.executeBatchPerJob({*sched_, *sched_, *sched_}).jobs[1];
+    const auto alone = svc.executeBatchCompiledPerJob({*sched_}).jobs[0];
+    const auto mixed = svc.executeBatchCompiledPerJob(
+                               {*sched_, *sched_, *sched_})
+                           .jobs[1];
     ASSERT_EQ(alone.shards.size(), mixed.shards.size());
     for (std::size_t s = 0; s < alone.shards.size(); ++s) {
         const auto &a = alone.shards[s];
@@ -1118,7 +1115,7 @@ TEST_F(RackSurface49, ShardCountPreservesFleetWork)
     for (const int shards : {1, 2, 8}) {
         const Rack rack(*dev_, *clib_, rackConfig(shards, 0));
         RuntimeService svc(rack, {.workers = 1});
-        const auto stats = svc.execute(*sched_);
+        const auto stats = svc.executeBatchCompiledPerJob({*sched_}).total;
         totals.push_back(stats.totalSamples);
         EXPECT_EQ(static_cast<int>(stats.shards.size()), shards);
     }
@@ -1174,7 +1171,7 @@ TEST(RackAdaptive, FlatSegmentsBypassTheIdctDuringPlayback)
 
     const Rack rack = fx.makeRack(4096);
     RuntimeService svc(rack, {.workers = 2});
-    const auto stats = svc.execute(fx.sched);
+    const auto stats = svc.executeBatchCompiledPerJob({fx.sched}).total;
 
     // Expected bypass volume: the flat samples of every played gate.
     std::uint64_t expect_bypass = 0, expect_samples = 0;
@@ -1208,8 +1205,8 @@ TEST(RackAdaptive, CachedAndUncachedPlaybackAgree)
     const Rack uncachedRack = fx.makeRack(0);
     RuntimeService cached(cachedRack, {.workers = 1});
     RuntimeService uncached(uncachedRack, {.workers = 1});
-    const auto a = cached.execute(fx.sched);
-    const auto b = uncached.execute(fx.sched);
+    const auto a = cached.executeBatchCompiledPerJob({fx.sched}).total;
+    const auto b = uncached.executeBatchCompiledPerJob({fx.sched}).total;
     EXPECT_EQ(a.totalSamples, b.totalSamples);
     EXPECT_EQ(a.totalBypassSamples, b.totalBypassSamples);
     EXPECT_EQ(a.totalWindows, b.totalWindows);
@@ -1223,7 +1220,7 @@ TEST(RackAdaptive, WorkerCountDoesNotChangeAdaptivePlayback)
         const Rack rack = fx.makeRack(4096);
         RuntimeService svc(rack, {.workers = workers});
         runs.push_back(
-            svc.executeBatch({fx.sched, fx.sched}));
+            svc.executeBatchCompiledPerJob({fx.sched, fx.sched}).total);
     }
     EXPECT_EQ(runs[0].totalSamples, runs[1].totalSamples);
     EXPECT_EQ(runs[0].totalBypassSamples,
@@ -1506,8 +1503,8 @@ TEST(RackSwap, StaleWindowsAgeOutWithoutAFlush)
         c.x(q);
     const auto sched = circuits::schedule(c, {});
 
-    svc.execute(sched);                     // cold fill, epoch v1
-    const auto warm = svc.execute(sched);   // all hits
+    svc.executeBatchCompiledPerJob({sched}); // cold fill, epoch v1
+    const auto warm = svc.executeBatchCompiledPerJob({sched}).total;
     EXPECT_EQ(warm.cache.misses, 0u);
     EXPECT_GT(warm.cache.hits, 0u);
 
@@ -1515,9 +1512,10 @@ TEST(RackSwap, StaleWindowsAgeOutWithoutAFlush)
     // Same schedule, new epoch: the old windows are invisible, so
     // this pass decodes cold again — no flush was needed to keep the
     // calibrations apart.
-    const auto fresh = svc.execute(sched);
+    const auto fresh = svc.executeBatchCompiledPerJob({sched}).total;
     EXPECT_GT(fresh.cache.misses, 0u);
-    const auto warm2 = svc.execute(sched);  // new epoch now warm
+    // The new epoch is warm now.
+    const auto warm2 = svc.executeBatchCompiledPerJob({sched}).total;
     EXPECT_EQ(warm2.cache.misses, 0u);
     EXPECT_GT(warm2.cache.hits, 0u);
 }

@@ -14,6 +14,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,17 +37,20 @@ struct ServerFixture
 {
     waveform::DeviceModel dev = waveform::DeviceModel::ibm("bogota");
     core::CompressedLibrary clib;
+    /** The same library, shared, as Server takes it. */
+    std::shared_ptr<const core::CompressedLibrary> lib;
     circuits::Schedule schedA;
     circuits::Schedule schedB;
 
     ServerFixture()
     {
-        const auto lib = waveform::PulseLibrary::build(dev);
+        const auto pulses = waveform::PulseLibrary::build(dev);
         clib = core::CompressionPipeline::with("int-dct")
                    .window(16)
                    .mseTarget(1e-5)
                    .build()
-                   .compressLibrary(lib);
+                   .compressLibrary(pulses);
+        lib = std::make_shared<const core::CompressedLibrary>(clib);
 
         circuits::Circuit a(5);
         for (int q = 0; q < 5; ++q)
@@ -113,9 +117,9 @@ expectSameDemand(const RackStats &a, const RackStats &b)
 TEST(Server, CompletesSubmittedJobsWithTimingAndTenantStats)
 {
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
-    Server server(rack,
-                  {.workers = 2, .queueDepth = 64, .maxBatch = 8});
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(), .workers = 2, .queueDepth = 64,
+                   .maxBatch = 8});
 
     std::vector<std::future<JobResult>> futs;
     for (int i = 0; i < 10; ++i)
@@ -160,9 +164,9 @@ TEST(Server, CompletesSubmittedJobsWithTimingAndTenantStats)
 TEST(Server, RejectsWhenQueueFullAndRecovers)
 {
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
-    Server server(rack,
-                  {.workers = 1, .queueDepth = 3, .maxBatch = 2});
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(), .workers = 1, .queueDepth = 3,
+                   .maxBatch = 2});
 
     // Hold dispatch so the queue fills deterministically.
     server.pause();
@@ -198,9 +202,9 @@ TEST(Server, RejectsWhenQueueFullAndRecovers)
 TEST(Server, ShutdownCancelsQueuedJobsDeterministically)
 {
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
-    Server server(rack,
-                  {.workers = 1, .queueDepth = 8, .maxBatch = 4});
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(), .workers = 1, .queueDepth = 8,
+                   .maxBatch = 4});
 
     server.pause(); // nothing dispatches: all 5 jobs are queued
     std::vector<std::future<JobResult>> futs;
@@ -232,11 +236,11 @@ TEST(Server, ShutdownCancelsQueuedJobsDeterministically)
 TEST(Server, ShutdownCompletesInFlightJobs)
 {
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
     std::vector<std::future<JobResult>> futs;
     {
-        Server server(
-            rack, {.workers = 2, .queueDepth = 16, .maxBatch = 4});
+        Server server(fx.dev, fx.lib,
+                      {.rack = fx.rackConfig(), .workers = 2, .queueDepth = 16,
+                       .maxBatch = 4});
         for (int i = 0; i < 8; ++i)
             futs.push_back(server.submit({"t", fx.schedB}));
         // Destructor shutdown: whatever was dispatched completes,
@@ -257,10 +261,11 @@ TEST(Server, ShutdownCompletesInFlightJobs)
 TEST(Server, ConfigDefaultsAreClamped)
 {
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
     // workers <= 0 resolves to the clamped hardware default;
     // queueDepth/maxBatch 0 clamp to 1 instead of wedging the queue.
-    Server server(rack, {.workers = 0, .queueDepth = 0, .maxBatch = 0});
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(), .workers = 0, .queueDepth = 0,
+                   .maxBatch = 0});
     EXPECT_GE(server.workers(), 1);
     EXPECT_EQ(server.queueDepth(), 1u);
     EXPECT_EQ(server.maxBatch(), 1u);
@@ -271,8 +276,7 @@ TEST(Server, ConfigDefaultsAreClamped)
 TEST(Server, DrainOnIdleServerReturnsImmediately)
 {
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
-    Server server(rack, {.workers = 1});
+    Server server(fx.dev, fx.lib, {.rack = fx.rackConfig(), .workers = 1});
     server.drain();
     EXPECT_EQ(server.stats().submitted, 0u);
 }
@@ -283,12 +287,12 @@ TEST(Server, PerJobStatsMatchSynchronousExecution)
     // Reference: each schedule alone through the synchronous service.
     const Rack refRack(fx.dev, fx.clib, fx.rackConfig());
     RuntimeService ref(refRack, {.workers = 1});
-    const auto refA = ref.executeBatchPerJob({fx.schedA}).jobs[0];
-    const auto refB = ref.executeBatchPerJob({fx.schedB}).jobs[0];
+    const auto refA = ref.executeBatchCompiledPerJob({fx.schedA}).jobs[0];
+    const auto refB = ref.executeBatchCompiledPerJob({fx.schedB}).jobs[0];
 
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig());
-    Server server(rack,
-                  {.workers = 2, .queueDepth = 32, .maxBatch = 8});
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(), .workers = 2, .queueDepth = 32,
+                   .maxBatch = 8});
     auto fa = server.submit({"a", fx.schedA});
     auto fb = server.submit({"b", fx.schedB});
     const auto ra = fa.get();
@@ -309,19 +313,18 @@ TEST(Server, ResultsIdenticalAcrossWorkersAndInterleavings)
     const ServerFixture fx;
     const Rack refRack(fx.dev, fx.clib, fx.rackConfig());
     RuntimeService ref(refRack, {.workers = 1});
-    const auto refA = ref.executeBatchPerJob({fx.schedA}).jobs[0];
-    const auto refB = ref.executeBatchPerJob({fx.schedB}).jobs[0];
+    const auto refA = ref.executeBatchCompiledPerJob({fx.schedA}).jobs[0];
+    const auto refB = ref.executeBatchCompiledPerJob({fx.schedB}).jobs[0];
     constexpr int kPerTenant = 4;
 
     for (const int workers : {1, 4}) {
         for (const bool threaded : {false, true}) {
-            const Rack rack(fx.dev, fx.clib, fx.rackConfig());
             // maxBatch 3 with 8 jobs: coalesced batch boundaries
             // never align with job boundaries, so attribution is
             // genuinely exercised across compositions.
-            Server server(
-                rack,
-                {.workers = workers, .queueDepth = 64, .maxBatch = 3});
+            Server server(fx.dev, fx.lib,
+                          {.rack = fx.rackConfig(), .workers = workers,
+                           .queueDepth = 64, .maxBatch = 3});
             std::vector<std::future<JobResult>> futsA, futsB;
             futsA.reserve(kPerTenant);
             futsB.reserve(kPerTenant);
@@ -374,9 +377,9 @@ TEST(Server, ConcurrentMixedTenantsKeepCacheLoadBearing)
     // after the cold pass, the shared decoded-window cache serves the
     // fleet — the serving-plane workload it exists for.
     const ServerFixture fx;
-    const Rack rack(fx.dev, fx.clib, fx.rackConfig(1 << 14));
-    Server server(rack,
-                  {.workers = 4, .queueDepth = 256, .maxBatch = 8});
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(1 << 14), .workers = 4,
+                   .queueDepth = 256, .maxBatch = 8});
     std::vector<std::thread> tenants;
     for (int t = 0; t < 4; ++t)
         tenants.emplace_back([&, t] {
@@ -397,6 +400,68 @@ TEST(Server, ConcurrentMixedTenantsKeepCacheLoadBearing)
     // 32 replays of two schedules: overwhelmingly cache hits.
     EXPECT_GT(s.cacheHitRate, 0.9);
     EXPECT_GT(s.cache.hits, s.cache.misses);
+}
+
+TEST(Server, OversizedJobFailsAloneAndOthersRerunCleanly)
+{
+    // A schedule whose shard program overflows the instruction memory
+    // throws inside a coalesced batch. The dispatcher then re-runs the
+    // batch one job at a time: only the oversized job fails, with the
+    // compiler's reason, and the good jobs complete exactly as they
+    // would alone — the failed batch never reached the model, so the
+    // server's model counters are the re-runs' alone.
+    const ServerFixture fx;
+    circuits::Circuit big(5);
+    for (int i = 0; i < 12000; ++i)
+        big.x(0);
+    const auto oversized = circuits::schedule(big, {});
+
+    // Solo references on a fresh rack, in the re-runs' order.
+    const Rack refRack(fx.dev, fx.clib, fx.rackConfig());
+    RuntimeService ref(refRack, {.workers = 1});
+    const auto soloA = ref.executeBatchCompiledPerJob({fx.schedA});
+    const auto soloB = ref.executeBatchCompiledPerJob({fx.schedB});
+    DecodedCacheStats want;
+    want.accumulate(soloA.total.cache);
+    want.accumulate(soloB.total.cache);
+
+    Server server(fx.dev, fx.lib,
+                  {.rack = fx.rackConfig(), .workers = 2, .maxBatch = 8});
+    server.pause();
+    auto fa = server.submit({"a", fx.schedA});
+    auto fbig = server.submit({"big", oversized});
+    auto fb = server.submit({"b", fx.schedB});
+    server.resume();
+    const auto ra = fa.get();
+    const auto rbig = fbig.get();
+    const auto rb = fb.get();
+
+    ASSERT_EQ(rbig.status, JobStatus::Failed);
+    EXPECT_NE(rbig.error.find("instruction-memory words"),
+              std::string::npos)
+        << rbig.error;
+    ASSERT_EQ(ra.status, JobStatus::Completed) << ra.error;
+    ASSERT_EQ(rb.status, JobStatus::Completed) << rb.error;
+    expectSameDemand(ra.stats, soloA.jobs[0]);
+    expectSameDemand(rb.stats, soloB.jobs[0]);
+    EXPECT_EQ(ra.stats.prefetchesIssued, soloA.jobs[0].prefetchesIssued);
+    EXPECT_EQ(rb.stats.prefetchesIssued, soloB.jobs[0].prefetchesIssued);
+
+    server.drain();
+    const auto s = server.stats();
+    EXPECT_EQ(s.batchesDispatched, 1u);
+    EXPECT_EQ(s.failed, 1u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.tenants.at("big").failed, 1u);
+    EXPECT_EQ(s.cache.hits, want.hits);
+    EXPECT_EQ(s.cache.misses, want.misses);
+    EXPECT_EQ(s.cache.evictions, want.evictions);
+    EXPECT_EQ(s.cache.prefetches, want.prefetches);
+    EXPECT_EQ(s.cache.prefetchHits, want.prefetchHits);
+    EXPECT_EQ(s.cache.prefetchWasted, want.prefetchWasted);
+    EXPECT_EQ(s.cache.entries, want.entries);
+    EXPECT_EQ(s.cache.residentSamples, want.residentSamples);
+    EXPECT_GT(s.cache.misses, 0u);
 }
 
 /** Fleet fixture: a second calibration of the same gate set (coarser
@@ -507,8 +572,8 @@ TEST(FleetServer, HotSwapUnderLoadBitIdenticalPerPinnedVersion)
     // while a calibrator publishes a new library mid-stream. No job
     // is dropped, none fails, and every job's deterministic rollup is
     // bit-identical to a synchronous run against the library version
-    // its batch pinned — under both back ends and 1 vs N workers
-    // (run under TSan in CI, this is also the data-race suite).
+    // its batch pinned, at 1 and N workers (run under TSan in CI, this
+    // is also the data-race suite).
     const FleetFixture fx;
     const RackConfig rc = fx.fleetRackConfig();
 
@@ -517,10 +582,10 @@ TEST(FleetServer, HotSwapUnderLoadBitIdenticalPerPinnedVersion)
     const Rack rackRefB(fx.dev, fx.libB, rc);
     RuntimeService refSvcA(rackRefA, {.workers = 1});
     RuntimeService refSvcB(rackRefB, {.workers = 1});
-    const auto refAa = refSvcA.executeBatchPerJob({fx.schedA}).jobs[0];
-    const auto refAb = refSvcA.executeBatchPerJob({fx.schedB}).jobs[0];
-    const auto refBa = refSvcB.executeBatchPerJob({fx.schedA}).jobs[0];
-    const auto refBb = refSvcB.executeBatchPerJob({fx.schedB}).jobs[0];
+    const auto refAa = refSvcA.executeBatchCompiledPerJob({fx.schedA}).jobs[0];
+    const auto refAb = refSvcA.executeBatchCompiledPerJob({fx.schedB}).jobs[0];
+    const auto refBa = refSvcB.executeBatchCompiledPerJob({fx.schedA}).jobs[0];
+    const auto refBb = refSvcB.executeBatchCompiledPerJob({fx.schedB}).jobs[0];
     // The two calibrations must actually be distinguishable, or the
     // per-version comparison below proves nothing. Window counts
     // match (same window size); the words read per window do not
@@ -534,71 +599,63 @@ TEST(FleetServer, HotSwapUnderLoadBitIdenticalPerPinnedVersion)
     ASSERT_NE(wordsRead(refAa), wordsRead(refBa));
 
     for (const int workers : {1, 4}) {
-        for (const DispatchBackend backend :
-             {DispatchBackend::Direct, DispatchBackend::Compiled}) {
-            FleetConfig fc;
-            fc.racks = 2;
-            fc.rack = rc;
-            fc.workers = workers;
-            fc.queueDepth = 512;
-            fc.maxBatch = 4;
-            fc.backend = backend;
-            Server server(fx.dev, fx.libA, fc);
-            const std::uint64_t v1 = server.stats().libraryVersion;
+        FleetConfig fc;
+        fc.racks = 2;
+        fc.rack = rc;
+        fc.workers = workers;
+        fc.queueDepth = 512;
+        fc.maxBatch = 4;
+        Server server(fx.dev, fx.libA, fc);
+        const std::uint64_t v1 = server.stats().libraryVersion;
 
-            constexpr int kThreads = 3, kPerThread = 20;
-            std::vector<std::thread> tenants;
-            std::vector<std::vector<std::future<JobResult>>> futs(
-                kThreads);
-            for (int t = 0; t < kThreads; ++t)
-                tenants.emplace_back([&, t] {
-                    for (int i = 0; i < kPerThread; ++i)
-                        futs[t].push_back(server.submit(
-                            {"tenant-" + std::to_string(t),
-                             i % 2 ? fx.schedA : fx.schedB}));
-                });
-            // Calibrator: publish mid-stream, with submissions in
-            // full flight. Never pauses, never drains.
-            const std::uint64_t v2 = server.swapLibrary(fx.libB);
-            EXPECT_GT(v2, v1);
-            for (auto &t : tenants)
-                t.join();
+        constexpr int kThreads = 3, kPerThread = 20;
+        std::vector<std::thread> tenants;
+        std::vector<std::vector<std::future<JobResult>>> futs(kThreads);
+        for (int t = 0; t < kThreads; ++t)
+            tenants.emplace_back([&, t] {
+                for (int i = 0; i < kPerThread; ++i)
+                    futs[t].push_back(server.submit(
+                        {"tenant-" + std::to_string(t),
+                         i % 2 ? fx.schedA : fx.schedB}));
+            });
+        // Calibrator: publish mid-stream, with submissions in full
+        // flight. Never pauses, never drains.
+        const std::uint64_t v2 = server.swapLibrary(fx.libB);
+        EXPECT_GT(v2, v1);
+        for (auto &t : tenants)
+            t.join();
 
-            for (int t = 0; t < kThreads; ++t)
-                for (int i = 0; i < kPerThread; ++i) {
-                    const auto r = futs[t][static_cast<std::size_t>(i)]
-                                       .get();
-                    ASSERT_EQ(r.status, JobStatus::Completed)
-                        << r.error;
-                    ASSERT_TRUE(r.libraryVersion == v1 ||
-                                r.libraryVersion == v2);
-                    const bool odd = i % 2 != 0;
-                    const RackStats &ref =
-                        r.libraryVersion == v1 ? (odd ? refAa : refAb)
-                                               : (odd ? refBa : refBb);
-                    expectSameDemand(r.stats, ref);
-                }
-            // A job submitted after the swap deterministically pins
-            // the new epoch — both versions are always exercised.
-            const auto post =
-                server.submit({"post-swap", fx.schedA}).get();
-            ASSERT_EQ(post.status, JobStatus::Completed);
-            EXPECT_EQ(post.libraryVersion, v2);
-            expectSameDemand(post.stats, refBa);
-
-            server.drain();
-            const auto s = server.stats();
-            EXPECT_EQ(s.librarySwaps, 1u);
-            EXPECT_EQ(s.libraryVersion, v2);
-            EXPECT_EQ(s.failed, 0u);
-            EXPECT_EQ(s.rejected, 0u);
-            std::uint64_t by_version = 0;
-            for (const auto &[v, n] : s.jobsByLibraryVersion) {
-                EXPECT_TRUE(v == v1 || v == v2);
-                by_version += n;
+        for (int t = 0; t < kThreads; ++t)
+            for (int i = 0; i < kPerThread; ++i) {
+                const auto r = futs[t][static_cast<std::size_t>(i)].get();
+                ASSERT_EQ(r.status, JobStatus::Completed) << r.error;
+                ASSERT_TRUE(r.libraryVersion == v1 ||
+                            r.libraryVersion == v2);
+                const bool odd = i % 2 != 0;
+                const RackStats &ref =
+                    r.libraryVersion == v1 ? (odd ? refAa : refAb)
+                                           : (odd ? refBa : refBb);
+                expectSameDemand(r.stats, ref);
             }
-            EXPECT_EQ(by_version, s.completed);
+        // A job submitted after the swap deterministically pins the
+        // new epoch — both versions are always exercised.
+        const auto post = server.submit({"post-swap", fx.schedA}).get();
+        ASSERT_EQ(post.status, JobStatus::Completed);
+        EXPECT_EQ(post.libraryVersion, v2);
+        expectSameDemand(post.stats, refBa);
+
+        server.drain();
+        const auto s = server.stats();
+        EXPECT_EQ(s.librarySwaps, 1u);
+        EXPECT_EQ(s.libraryVersion, v2);
+        EXPECT_EQ(s.failed, 0u);
+        EXPECT_EQ(s.rejected, 0u);
+        std::uint64_t by_version = 0;
+        for (const auto &[v, n] : s.jobsByLibraryVersion) {
+            EXPECT_TRUE(v == v1 || v == v2);
+            by_version += n;
         }
+        EXPECT_EQ(by_version, s.completed);
     }
 }
 

@@ -6,8 +6,8 @@
  * overwrite semantics, the disabled-cost contract (nothing recorded,
  * nothing dropped), strict-JSON round-trips of writeChromeTrace()
  * and Registry::writeJson(), and the observation-only contract:
- * executeBatch / executeBatchCompiled results are bit-identical with
- * tracing enabled and disabled at any worker count.
+ * service batch results are bit-identical with tracing enabled and
+ * disabled at any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -696,63 +696,26 @@ TEST(Telemetry, ExecuteBatchIdenticalWithTracingOnAndOff)
     for (const int workers : {1, 4}) {
         const runtime::Rack rack(fx.dev, fx.clib, fx.rackConfig());
         runtime::RuntimeService svc(rack, {.workers = workers});
-        const auto off = svc.executeBatchPerJob(fx.batch);
+        const auto off = svc.executeBatchCompiledPerJob(fx.batch);
 
         const runtime::Rack rack2(fx.dev, fx.clib, fx.rackConfig());
         runtime::RuntimeService svc2(rack2, {.workers = workers});
         TraceEnableGuard guard(true);
-        const auto on = svc2.executeBatchPerJob(fx.batch);
+        const auto on = svc2.executeBatchCompiledPerJob(fx.batch);
 
         ASSERT_EQ(off.jobs.size(), on.jobs.size());
         expectIdentical(off.total, on.total);
         for (std::size_t j = 0; j < off.jobs.size(); ++j)
             expectIdentical(off.jobs[j], on.jobs[j]);
+        EXPECT_EQ(off.total.cache.hits, on.total.cache.hits);
+        EXPECT_EQ(off.total.cache.misses, on.total.cache.misses);
+        EXPECT_EQ(off.total.cache.prefetchHits,
+                  on.total.cache.prefetchHits);
         // Tracing actually recorded something while enabled.
         EXPECT_GT(Trace::global().bufferedEvents() +
                       Trace::global().droppedEvents(),
                   0u);
     }
-}
-
-TEST(Telemetry, ExecuteBatchCompiledIdenticalWithTracingOnAndOff)
-{
-    const RackFixture fx;
-    const isa::CompilerConfig ccfg;
-    for (const int workers : {1, 4}) {
-        const runtime::Rack rack(fx.dev, fx.clib, fx.rackConfig());
-        runtime::RuntimeService svc(rack, {.workers = workers});
-        const auto off =
-            svc.executeBatchCompiledPerJob(fx.batch, ccfg);
-
-        const runtime::Rack rack2(fx.dev, fx.clib, fx.rackConfig());
-        runtime::RuntimeService svc2(rack2, {.workers = workers});
-        TraceEnableGuard guard(true);
-        const auto on =
-            svc2.executeBatchCompiledPerJob(fx.batch, ccfg);
-
-        ASSERT_EQ(off.jobs.size(), on.jobs.size());
-        expectIdentical(off.total, on.total);
-        for (std::size_t j = 0; j < off.jobs.size(); ++j)
-            expectIdentical(off.jobs[j], on.jobs[j]);
-    }
-}
-
-TEST(Telemetry, DirectAndCompiledBackEndsStillAgreeWhileTraced)
-{
-    const RackFixture fx;
-    TraceEnableGuard guard(true);
-    const runtime::Rack rack(fx.dev, fx.clib, fx.rackConfig());
-    runtime::RuntimeService svc(rack, {.workers = 2});
-    const auto direct = svc.executeBatchPerJob(fx.batch);
-    const runtime::Rack rack2(fx.dev, fx.clib, fx.rackConfig());
-    runtime::RuntimeService svc2(rack2, {.workers = 2});
-    const auto compiled =
-        svc2.executeBatchCompiledPerJob(fx.batch, {});
-    EXPECT_EQ(direct.total.totalGates, compiled.total.totalGates);
-    EXPECT_EQ(direct.total.totalSamples,
-              compiled.total.totalSamples);
-    EXPECT_EQ(direct.total.totalWindows,
-              compiled.total.totalWindows);
 }
 
 } // namespace
