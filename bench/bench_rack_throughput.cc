@@ -30,9 +30,11 @@
 #include "circuits/surface_code.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "isa/compiler.hh"
 #include "power/system.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
+#include "telemetry/metrics.hh"
 #include "uarch/controller.hh"
 #include "waveform/device.hh"
 #include "waveform/library.hh"
@@ -102,11 +104,49 @@ run(const Workload &w, int shards, std::size_t cache_windows,
     return best;
 }
 
+/** PREFETCH windows one run of `batch` on `rack` replays: every
+ *  PREFETCH op names one window. */
+std::uint64_t
+prefetchWindows(const runtime::Rack &rack,
+                const std::vector<circuits::Schedule> &batch)
+{
+    const isa::Compiler compiler(rack);
+    std::uint64_t windows = 0;
+    for (const auto &s : batch)
+        for (const auto &ps : compiler.compile(s).stats)
+            windows += ps.prefetchInstructions;
+    return windows;
+}
+
+/** The model replay's splices per window it applied (demand and
+ *  PREFETCH windows), over batches that made `splices` splices and
+ *  counted `cache`. */
+double
+splicesPerWindow(std::uint64_t splices,
+                 const runtime::DecodedCacheStats &cache,
+                 std::uint64_t prefetch_windows)
+{
+    const std::uint64_t windows =
+        cache.hits + cache.misses + prefetch_windows;
+    return windows == 0 ? 0.0
+                        : static_cast<double>(splices) /
+                              static_cast<double>(windows);
+}
+
+/** The registry counter the model's replay adds its splices to. */
+telemetry::Counter &
+spliceCounter()
+{
+    return telemetry::Registry::global().counter("cache.replay.splices");
+}
+
 /** What the model costs, measured in pairs: per-pair ratios of
- *  modeled over unmodeled gates/s, and each side's gates/s. */
+ *  modeled over unmodeled gates/s, and each side's gates/s; and the
+ *  modeled side's splices per replayed window. */
 struct PairedSpeedup
 {
     std::vector<double> ratios, modeled, unmodeled;
+    double splicesPerWindow = 0.0;
 };
 
 /** `pairs` alternating batches on two warmed racks that differ only
@@ -128,6 +168,8 @@ pairedSpeedup(const Workload &w, int shards, std::size_t cache_windows,
     gatesPerSec(off);
     gatesPerSec(on);
     PairedSpeedup p;
+    const auto cache_before = modeled.cache().stats();
+    const std::uint64_t splices = spliceCounter().value();
     for (int i = 0; i < pairs; ++i) {
         double g_off = 0.0, g_on = 0.0;
         if (i % 2 == 0) {
@@ -141,6 +183,12 @@ pairedSpeedup(const Workload &w, int shards, std::size_t cache_windows,
         p.modeled.push_back(g_on);
         p.unmodeled.push_back(g_off);
     }
+    p.splicesPerWindow = splicesPerWindow(
+        spliceCounter().value() - splices,
+        runtime::DecodedCacheStats::delta(cache_before,
+                                          modeled.cache().stats()),
+        prefetchWindows(modeled, w.batch) *
+            static_cast<std::uint64_t>(pairs));
     return p;
 }
 
@@ -260,6 +308,8 @@ struct SkewResult
 {
     runtime::RackStats stats;
     power::PowerBreakdown power;
+    /** The model replay's splices per replayed window. */
+    double splicesPerWindow = 0.0;
 };
 
 SkewResult
@@ -286,12 +336,16 @@ runSkew(const SkewWorkload &w, const SkewConfig &cfg, int shards,
     runtime::DecodedCacheStats cache_sum;
     double wall = 0.0;
     std::uint64_t gates = 0;
+    const std::uint64_t splices = spliceCounter().value();
     for (int rep = 0; rep < reps; ++rep) {
         best.stats = svc.executeBatchCompiledPerJob(w.batch).total;
         wall += best.stats.wallSeconds;
         gates += best.stats.totalGates;
         cache_sum.accumulate(best.stats.cache);
     }
+    best.splicesPerWindow = splicesPerWindow(
+        spliceCounter().value() - splices, cache_sum,
+        prefetchWindows(rack, w.batch) * static_cast<std::uint64_t>(reps));
     best.stats.cache = cache_sum;
     best.stats.cacheHitRate = cache_sum.hitRate();
     best.stats.wallSeconds = wall;
@@ -406,6 +460,13 @@ main(int argc, char **argv)
               << ", range " << Table::num(ratio.min, 2) << "-"
               << Table::num(ratio.max, 2) << ")\n";
     report.setEnv("cache_speedup_pairs", kSpeedupPairs);
+    // The replay moves each run of tier-0 windows still linked in its
+    // last play's order in one splice: fewer splices per window, a
+    // cheaper replay.
+    std::cout << "model replay: "
+              << Table::num(paired.splicesPerWindow, 3)
+              << " splices per replayed window\n";
+    report.setEnv("replay_splices_per_window", paired.splicesPerWindow);
     report.metric("cache_speedup_gates_per_sec", speedup);
     report.metric("cache_speedup_q1", ratio_q1);
     report.metric("cache_speedup_q3", ratio_q3);
@@ -551,6 +612,8 @@ main(int argc, char **argv)
                       static_cast<std::int64_t>(c.promotions));
         report.setEnv("skew_demotions",
                       static_cast<std::int64_t>(c.demotions));
+        report.setEnv("skew_replay_splices_per_window",
+                      best->splicesPerWindow);
     }
     return 0;
 }

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
@@ -134,6 +135,15 @@ class JsonReport
         envExtras_.push_back(ss.str());
     }
 
+    /** Record an extra real-valued env-header entry (JSON null when
+     *  not finite). */
+    template <std::floating_point T>
+    void
+    setEnv(const std::string &key, T value)
+    {
+        envExtras_.push_back(scalar(key, value));
+    }
+
     JsonReport(const JsonReport &) = delete;
     JsonReport &operator=(const JsonReport &) = delete;
 
@@ -161,6 +171,14 @@ class JsonReport
     void
     metric(const std::string &key, double value)
     {
+        metrics_.push_back(scalar(key, value));
+    }
+
+  private:
+    /** `"key": value` with 15 significant digits, or null. */
+    static std::string
+    scalar(const std::string &key, double value)
+    {
         std::ostringstream ss;
         jsonQuote(ss, key);
         ss << ": ";
@@ -168,10 +186,9 @@ class JsonReport
             ss << std::setprecision(15) << value;
         else
             ss << "null";
-        metrics_.push_back(ss.str());
+        return ss.str();
     }
 
-  private:
     /**
      * Atomic best-effort write (runs from the destructor): emit to
      * BENCH_<name>.json.tmp, verify the stream after flushing, and

@@ -136,11 +136,14 @@ Compiler::compile(const circuits::Schedule &sched) const
     CompiledSchedule out;
     out.programs.reserve(parts.size());
     out.stats.resize(parts.size());
+    out.demand.reserve(parts.size());
     std::uint64_t kept = 0;
     for (std::size_t s = 0; s < parts.size(); ++s) {
         kept += parts[s].events.size();
         out.programs.push_back(
             compileShard(parts[s], &out.stats[s]));
+        out.demand.push_back(rack_.controller(static_cast<int>(s))
+                                 .execute(parts[s], *vlib_));
     }
     out.unownedEvents = sched.events.size() - kept;
     return out;

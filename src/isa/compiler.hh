@@ -32,7 +32,9 @@
 
 #include "circuits/scheduler.hh"
 #include "isa/isa.hh"
+#include "isa/program_cache.hh"
 #include "runtime/rack.hh"
+#include "uarch/controller.hh"
 
 namespace compaqt::isa
 {
@@ -101,16 +103,39 @@ struct ProgramStats
     std::uint64_t programCycles = 0;
 };
 
-/** A schedule lowered onto every shard of a rack. */
+/**
+ * A schedule lowered onto every shard of a rack: everything a batch
+ * needs of it besides interpretation, so a cached plan is dispatched
+ * without partitioning, accounting or compiling it again.
+ */
 struct CompiledSchedule
 {
     /** One program per shard, indexed like the rack's shard plan. */
     std::vector<InstructionProgram> programs;
     std::vector<ProgramStats> stats;
+    /** Per shard, the shard controller's stats-only execute() of its
+     *  slice: the bank/bandwidth demand a run of the plan reports. */
+    std::vector<uarch::ExecutionStats> demand;
     /** Events owned by no shard (dropped, mirroring
      *  RackStats::unownedEvents). */
     std::uint64_t unownedEvents = 0;
 };
+
+/** Identity of one compiled schedule. */
+struct PlanKey
+{
+    /** circuits::scheduleFingerprint of the whole schedule, folded
+     *  with the compiler-config hash. */
+    std::uint64_t fingerprint = 0;
+    /** Library version the plan was compiled against. */
+    std::uint64_t libVersion = 0;
+
+    auto operator<=>(const PlanKey &) const = default;
+};
+
+/** Whole-schedule plans; each is put with its shard count as weight,
+ *  so the capacity bounds cached shard programs. */
+using PlanCache = ArtifactCache<PlanKey, CompiledSchedule>;
 
 /**
  * Compiles schedules against one rack's shard plan, controller
@@ -144,14 +169,17 @@ class Compiler
         return vlib_;
     }
 
-    /** Lower a full schedule: partition by qubit ownership, then
-     *  compile each shard's slice. */
+    /**
+     * Lower a full schedule: partition by qubit ownership, then per
+     * shard compile the slice and account its demand. This is the
+     * entry point RuntimeService uses on a plan-cache miss.
+     * @throws std::invalid_argument when a shard's mandatory stream
+     *         exceeds the instruction-memory budget
+     */
     CompiledSchedule compile(const circuits::Schedule &sched) const;
 
     /**
-     * Lower one shard's already-partitioned slice. This is the entry
-     * point RuntimeService uses, since batch execution partitions
-     * schedules itself.
+     * Lower one shard's already-partitioned slice.
      * @throws std::invalid_argument when the mandatory stream
      *         exceeds the instruction-memory budget
      */

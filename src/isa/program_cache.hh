@@ -1,19 +1,22 @@
 /**
  * @file
- * Compiled programs as persistent artifacts: a bounded, thread-safe
- * LRU of InstructionPrograms keyed by (schedule fingerprint, shard,
- * library version). The serving plane dispatches hot schedules
- * without recompiling per job, and a library hot-swap invalidates
- * transparently — post-swap dispatches miss on the new version key,
- * recompile once, and the stale entries are dropped by dropStale()
- * or age out by LRU. This is the dispatch-by-handle substrate the
- * ROADMAP's feedback plane builds on.
+ * Compiled artifacts as persistent objects: one bounded, thread-safe
+ * LRU keyed by what an artifact was compiled from and against which
+ * library version. RuntimeService keeps whole-schedule plans in it
+ * (isa::PlanCache), so the serving plane dispatches a hot schedule
+ * without partitioning, accounting or compiling it again; the
+ * per-slice ProgramCache form keys one shard program each. A library
+ * hot-swap invalidates transparently — post-swap dispatches miss on
+ * the new version key, recompile once, and the stale entries are
+ * dropped by dropStale() or age out by LRU. This is the
+ * dispatch-by-handle substrate the ROADMAP's feedback plane builds on.
  */
 
 #ifndef COMPAQT_ISA_PROGRAM_CACHE_HH
 #define COMPAQT_ISA_PROGRAM_CACHE_HH
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <map>
 #include <memory>
@@ -40,6 +43,8 @@ struct ProgramKey
 /** Cache observability counters (monotonic since construction). */
 struct ProgramCacheStats
 {
+    /** Lookups: every get() is one hit or one miss, a disabled
+     *  cache's included. */
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
@@ -47,6 +52,7 @@ struct ProgramCacheStats
     std::uint64_t evictions = 0;
     /** Entries dropped because their library version retired. */
     std::uint64_t staleDropped = 0;
+    /** Cached artifacts. */
     std::size_t entries = 0;
 
     double
@@ -61,59 +67,130 @@ struct ProgramCacheStats
 };
 
 /**
- * Bounded thread-safe LRU over shared immutable programs. Handing
- * out shared_ptr<const InstructionProgram> means an interpreter can
- * keep executing a program that was concurrently evicted — eviction
- * drops the cache's reference, never the artifact under a runner.
+ * Bounded thread-safe LRU over shared immutable artifacts. `Key` must
+ * be ordered and carry the `libVersion` its artifact was compiled
+ * against. Capacity is counted in weight units: each put() charges its
+ * artifact a weight (a shard program weighs 1, a whole-schedule plan
+ * its shard count), and an artifact heavier than the whole capacity is
+ * handed back uncached. Handing out shared_ptr<const Artifact> means a
+ * runner can keep executing an artifact that was concurrently evicted
+ * — eviction drops the cache's reference, never the artifact under a
+ * runner.
  */
-class ProgramCache
+template <class Key, class Artifact>
+class ArtifactCache
 {
   public:
-    /** @param capacity maximum cached programs; 0 disables the cache
+    /** @param capacity maximum cached weight; 0 disables the cache
      *  (get() always misses, put() stores nothing). */
-    explicit ProgramCache(std::size_t capacity = 256);
+    explicit ArtifactCache(std::size_t capacity = 256)
+        : capacity_(capacity)
+    {
+    }
 
     std::size_t capacity() const { return capacity_; }
     bool enabled() const { return capacity_ > 0; }
 
-    /** Look up a program; null on miss. A hit refreshes LRU order. */
-    std::shared_ptr<const InstructionProgram>
-    get(const ProgramKey &key);
+    /** Look up an artifact; null on miss. A hit refreshes LRU order. */
+    std::shared_ptr<const Artifact>
+    get(const Key &key)
+    {
+        std::lock_guard lock(mu_);
+        const auto it = index_.find(key);
+        if (it == index_.end()) {
+            ++stats_.misses;
+            return nullptr;
+        }
+        ++stats_.hits;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return it->second->artifact;
+    }
 
     /**
-     * Insert a freshly compiled program, returning the cached
-     * artifact. First-wins on a concurrent-compile race: if `key` is
-     * already present, the existing program is returned and `prog`
-     * is discarded (both compiles of one key are bit-identical, so
-     * either is correct — keeping the first preserves LRU age).
+     * Insert a freshly compiled artifact weighing `weight`, returning
+     * the cached one. First-wins on a concurrent-compile race: if
+     * `key` is already present, the existing artifact is returned and
+     * `artifact` is discarded (both compiles of one key are
+     * bit-identical, so either is correct — keeping the first
+     * preserves LRU age).
      */
-    std::shared_ptr<const InstructionProgram>
-    put(const ProgramKey &key, InstructionProgram prog);
+    std::shared_ptr<const Artifact>
+    put(const Key &key, Artifact artifact, std::size_t weight = 1)
+    {
+        auto shared =
+            std::make_shared<const Artifact>(std::move(artifact));
+        if (weight > capacity_)
+            return shared;
+        std::lock_guard lock(mu_);
+        if (const auto it = index_.find(key); it != index_.end())
+            return it->second->artifact; // lost the race; first wins
+        lru_.push_front({key, shared, weight});
+        index_.emplace(key, lru_.begin());
+        weight_ += weight;
+        ++stats_.insertions;
+        while (weight_ > capacity_) {
+            erase(std::prev(lru_.end()));
+            ++stats_.evictions;
+        }
+        return shared;
+    }
 
     /**
      * Drop every entry compiled against a version older than
      * `currentVersion` — the post-swap sweep. Cheap when nothing is
-     * stale (one lock, one map walk over live entries).
+     * stale (one lock, one walk over live entries).
      */
-    void dropStale(std::uint64_t currentVersion);
+    void
+    dropStale(std::uint64_t currentVersion)
+    {
+        std::lock_guard lock(mu_);
+        for (auto it = lru_.begin(); it != lru_.end();) {
+            const auto next = std::next(it);
+            if (it->key.libVersion < currentVersion) {
+                erase(it);
+                ++stats_.staleDropped;
+            }
+            it = next;
+        }
+    }
 
-    ProgramCacheStats stats() const;
+    ProgramCacheStats
+    stats() const
+    {
+        std::lock_guard lock(mu_);
+        ProgramCacheStats s = stats_;
+        s.entries = lru_.size();
+        return s;
+    }
 
   private:
-    using Artifact = std::shared_ptr<const InstructionProgram>;
     struct Entry
     {
-        ProgramKey key;
-        Artifact prog;
+        Key key;
+        std::shared_ptr<const Artifact> artifact;
+        std::size_t weight = 1;
     };
     using LruList = std::list<Entry>;
+
+    void
+    erase(typename LruList::iterator it)
+    {
+        weight_ -= it->weight;
+        index_.erase(it->key);
+        lru_.erase(it);
+    }
 
     const std::size_t capacity_;
     mutable std::mutex mu_;
     LruList lru_; //< front = most recent
-    std::map<ProgramKey, LruList::iterator> index_;
+    std::map<Key, typename LruList::iterator> index_;
+    /** Summed weight of the cached entries; <= capacity_. */
+    std::size_t weight_ = 0;
     ProgramCacheStats stats_;
 };
+
+/** Per-shard programs keyed by (slice fingerprint, shard, version). */
+using ProgramCache = ArtifactCache<ProgramKey, InstructionProgram>;
 
 } // namespace compaqt::isa
 

@@ -191,7 +191,7 @@ struct FleetConfig
     std::size_t spillQueueDepth = 0;
     /** Unread; see DispatchBackend. */
     DispatchBackend backend = DispatchBackend::Compiled;
-    /** Per-rack compiled-program cache capacity (see
+    /** Per-rack plan-cache capacity in shard programs (see
      *  ServiceConfig::programCacheEntries). */
     std::size_t programCacheEntries = 256;
 };

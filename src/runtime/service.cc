@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <span>
 
-#include "common/logging.hh"
 #include "isa/interpreter.hh"
 #include "runtime/playback.hh"
 #include "telemetry/metrics.hh"
@@ -15,54 +16,27 @@ namespace compaqt::runtime
 namespace
 {
 
-/** Result of one (circuit, shard) cell of the execution grid. */
-struct CellResult
-{
-    uarch::ExecutionStats demand;
-    PlaybackCounters play;
-    /** Cold prefetches the model inserted for this cell (set by the
-     *  grid's replay). */
-    std::uint64_t prefetchesIssued = 0;
-};
+using Plan = std::shared_ptr<const isa::CompiledSchedule>;
 
 /**
- * Play one shard's slice of one circuit: stats-only demand accounting
- * on the shard's controller, then the slice's program — fetched from
- * the program cache or compiled on a miss — driven by the interpreter,
- * which records what it plays and prefetches into the cell's log.
+ * Play one shard's program of one circuit's plan, driven by the
+ * interpreter, which records what it plays and prefetches into the
+ * cell's log (emptied first: logs are reused across batches).
  */
-CellResult
-playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
-          const circuits::Schedule &part, const isa::Compiler &compiler,
-          isa::ProgramCache &cache, std::uint64_t cfgHash,
+PlaybackCounters
+playShard(const Rack &rack, const VersionedLibrary &vlib,
+          const isa::CompiledSchedule &plan, std::size_t shard,
           WindowEventLog &log)
 {
-    COMPAQT_TRACE_SPAN("shard", "shard.play", "shard",
-                       static_cast<std::uint64_t>(shard), "events",
-                       part.events.size());
-    CellResult cell;
-    cell.demand = rack.controller(shard).execute(part, *vlib);
-    // The cache key covers everything the artifact depends on: the
-    // schedule's content fingerprint, the compiler knobs, the shard
-    // (its channel set shapes the stream), and the pinned library
-    // version — so a hot-swap can never serve a stale program.
-    const isa::ProgramKey key{
-        circuits::scheduleFingerprint(part) ^ cfgHash, shard,
-        vlib.version};
-    std::shared_ptr<const isa::InstructionProgram> prog =
-        cache.get(key);
-    if (!prog) {
-        COMPAQT_TRACE_SPAN("compile", "isa.compile_shard", "shard",
-                           static_cast<std::uint64_t>(shard));
-        prog = cache.put(key, compiler.compileShard(part));
-    }
+    COMPAQT_TRACE_SPAN("shard", "shard.play", "shard", shard, "events",
+                       plan.stats[shard].playedEvents);
+    log.clear();
     isa::Interpreter interp(rack, vlib, &log);
-    cell.play = interp.run(*prog).play;
-    return cell;
+    return interp.run(plan.programs[shard]).play;
 }
 
 /** Fold the compiler knobs that shape the emitted stream into the
- *  program-cache key with scheduleFingerprint's word fold. */
+ *  plan-cache key with scheduleFingerprint's word fold. */
 std::uint64_t
 compilerCfgHash(const isa::CompilerConfig &cfg)
 {
@@ -78,28 +52,30 @@ compilerCfgHash(const isa::CompilerConfig &cfg)
     return h;
 }
 
-/** Fold one grid cell into its shard's rollup: peaks are maxima,
- *  totals are sums. */
+/** Fold one grid cell — its plan's demand for the shard, what it
+ *  played, and its cold prefetches — into its shard's rollup: peaks
+ *  are maxima, totals are sums. */
 void
-accumulateCell(ShardStats &sh, const CellResult &cell)
+accumulateCell(ShardStats &sh, const uarch::ExecutionStats &demand,
+               const PlaybackCounters &play,
+               std::uint64_t prefetchesIssued)
 {
-    sh.demand.peakBanks =
-        std::max(sh.demand.peakBanks, cell.demand.peakBanks);
+    sh.demand.peakBanks = std::max(sh.demand.peakBanks, demand.peakBanks);
     sh.demand.peakChannels =
-        std::max(sh.demand.peakChannels, cell.demand.peakChannels);
+        std::max(sh.demand.peakChannels, demand.peakChannels);
     sh.demand.peakBandwidthBytesPerSec =
         std::max(sh.demand.peakBandwidthBytesPerSec,
-                 cell.demand.peakBandwidthBytesPerSec);
-    sh.demand.feasible = sh.demand.feasible && cell.demand.feasible;
-    sh.demand.totalSamples += cell.demand.totalSamples;
-    sh.demand.totalWordsRead += cell.demand.totalWordsRead;
-    sh.demand.missingGates += cell.demand.missingGates;
-    sh.demand.bypassSamples += cell.demand.bypassSamples;
-    sh.gatesPlayed += cell.play.gates;
-    sh.windowsDecoded += cell.play.windows;
-    sh.samplesDecoded += cell.play.samples;
-    sh.samplesBypassed += cell.play.bypassed;
-    sh.prefetchesIssued += cell.prefetchesIssued;
+                 demand.peakBandwidthBytesPerSec);
+    sh.demand.feasible = sh.demand.feasible && demand.feasible;
+    sh.demand.totalSamples += demand.totalSamples;
+    sh.demand.totalWordsRead += demand.totalWordsRead;
+    sh.demand.missingGates += demand.missingGates;
+    sh.demand.bypassSamples += demand.bypassSamples;
+    sh.gatesPlayed += play.gates;
+    sh.windowsDecoded += play.windows;
+    sh.samplesDecoded += play.samples;
+    sh.samplesBypassed += play.bypassed;
+    sh.prefetchesIssued += prefetchesIssued;
 }
 
 /** Batch-grain service metrics: registered once, bumped once per
@@ -150,57 +126,34 @@ finalizeFleet(RackStats &stats)
 }
 
 /**
- * The batch skeleton: partition every schedule, play the (circuit,
- * shard) grid concurrently (each cell recording into its own event
- * log), then reduce serially in a fixed order — replaying the logs
- * into the rack's waveform-memory model in (circuit, shard) order
- * first — so no rolled-up number, model counters included, depends
- * on worker interleaving.
+ * The batch skeleton: play the (circuit, shard) grid of the batch's
+ * plans concurrently (each cell recording into its own event log),
+ * then reduce serially in a fixed order — replaying the logs into the
+ * rack's waveform-memory model in (circuit, shard) order first — so no
+ * rolled-up number, model counters included, depends on worker
+ * interleaving. `t0` is when the batch started fetching its plans.
  */
 BatchExecution
 runGrid(const Rack &rack, const VersionedLibrary &vlib,
-        common::Executor &exec,
-        const std::vector<circuits::Schedule> &batch,
-        const isa::Compiler &compiler, isa::ProgramCache &programs,
-        std::uint64_t cfgHash)
+        common::Executor &exec, const std::vector<Plan> &plans,
+        std::vector<WindowEventLog> &logs,
+        std::chrono::steady_clock::time_point t0)
 {
-    const int n_shards = rack.numShards();
-    const auto n_cells =
-        batch.size() * static_cast<std::size_t>(n_shards);
-    COMPAQT_TRACE_SPAN("batch", "service.batch", "circuits",
-                       batch.size(), "cells", n_cells);
-
-    // Partition every circuit up front (cheap, serial, deterministic).
-    std::vector<std::uint64_t> unowned(batch.size(), 0);
-    std::vector<std::vector<circuits::Schedule>> parts;
-    parts.reserve(batch.size());
-    for (std::size_t c = 0; c < batch.size(); ++c) {
-        parts.push_back(circuits::partitionByOwner(
-            batch[c], rack.plan().owner, n_shards));
-        std::uint64_t kept = 0;
-        for (const auto &part : parts.back())
-            kept += part.events.size();
-        unowned[c] = batch[c].events.size() - kept;
-    }
-
-    std::vector<CellResult> cells(n_cells);
-    std::vector<WindowEventLog> logs(n_cells);
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto n_shards = static_cast<std::size_t>(rack.numShards());
+    const std::size_t n_cells = plans.size() * n_shards;
+    if (logs.size() < n_cells)
+        logs.resize(n_cells);
+    std::vector<PlaybackCounters> played(n_cells);
     exec.forEach(n_cells, [&](std::size_t i) {
-        const std::size_t c = i / static_cast<std::size_t>(n_shards);
-        const int s = static_cast<int>(
-            i % static_cast<std::size_t>(n_shards));
-        cells[i] = playShard(rack, vlib, s,
-                             parts[c][static_cast<std::size_t>(s)],
-                             compiler, programs, cfgHash, logs[i]);
+        played[i] = playShard(rack, vlib, *plans[i / n_shards],
+                              i % n_shards, logs[i]);
     });
     // Reached only when every cell succeeded: a batch that throws
     // leaves the model exactly as it found it.
     std::vector<std::uint64_t> inserted(n_cells, 0);
-    const DecodedCacheStats cache = rack.cache().replay(logs, inserted);
+    const DecodedCacheStats cache = rack.cache().replay(
+        std::span<const WindowEventLog>(logs.data(), n_cells), inserted);
     const auto t1 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < n_cells; ++i)
-        cells[i].prefetchesIssued = inserted[i];
 
     // Serial, fixed-order reduction: shard-level peaks are maxima
     // over the batch, totals are sums — independent of how workers
@@ -210,23 +163,22 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
     BatchExecution result;
     result.libraryVersion = vlib.version;
     RackStats &stats = result.total;
-    stats.shards.resize(static_cast<std::size_t>(n_shards));
-    result.jobs.resize(batch.size());
-    for (std::size_t c = 0; c < batch.size(); ++c) {
+    stats.shards.resize(n_shards);
+    result.jobs.resize(plans.size());
+    for (std::size_t c = 0; c < plans.size(); ++c) {
+        const isa::CompiledSchedule &plan = *plans[c];
         RackStats &job = result.jobs[c];
-        job.shards.resize(static_cast<std::size_t>(n_shards));
-        for (int s = 0; s < n_shards; ++s) {
-            const auto &cell =
-                cells[c * static_cast<std::size_t>(n_shards) +
-                      static_cast<std::size_t>(s)];
-            accumulateCell(
-                stats.shards[static_cast<std::size_t>(s)], cell);
-            accumulateCell(
-                job.shards[static_cast<std::size_t>(s)], cell);
+        job.shards.resize(n_shards);
+        for (std::size_t s = 0; s < n_shards; ++s) {
+            const std::size_t i = c * n_shards + s;
+            accumulateCell(stats.shards[s], plan.demand[s], played[i],
+                           inserted[i]);
+            accumulateCell(job.shards[s], plan.demand[s], played[i],
+                           inserted[i]);
         }
         finalizeFleet(job);
-        job.unownedEvents = unowned[c];
-        stats.unownedEvents += unowned[c];
+        job.unownedEvents = plan.unownedEvents;
+        stats.unownedEvents += plan.unownedEvents;
     }
     finalizeFleet(stats);
 
@@ -256,8 +208,7 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
 
 RuntimeService::RuntimeService(const Rack &rack,
                                const ServiceConfig &cfg)
-    : rack_(rack), exec_(cfg.workers),
-      progCache_(cfg.programCacheEntries)
+    : rack_(rack), exec_(cfg.workers), plans_(cfg.programCacheEntries)
 {
 }
 
@@ -266,18 +217,37 @@ RuntimeService::executeBatchCompiledPerJob(
     const std::vector<circuits::Schedule> &batch,
     const isa::CompilerConfig &cfg)
 {
+    const auto n_shards = static_cast<std::size_t>(rack_.numShards());
+    COMPAQT_TRACE_SPAN("batch", "service.batch", "circuits", batch.size(),
+                       "cells", batch.size() * n_shards);
     // Pin one epoch and hand it to both the compiler and the
     // interpreter, so a swap landing between compile and run cannot
     // produce a version-mismatch rejection inside the batch.
     const VersionedLibrary vlib = rack_.currentLibrary();
-    // One compiler shared by every cell: it is stateless across
-    // compileShard calls, and each worker interprets its own program.
     const isa::Compiler compiler(rack_, vlib, cfg);
-    // Sweep artifacts of retired epochs once per batch — they are
+    // Sweep plans of retired epochs once per batch — they are
     // unreachable (the key carries the version) and only waste slots.
-    progCache_.dropStale(vlib.version);
-    return runGrid(rack_, vlib, exec_, batch, compiler, progCache_,
-                   compilerCfgHash(cfg));
+    plans_.dropStale(vlib.version);
+
+    // One plan lookup per schedule. A miss compiles the whole schedule
+    // once, inside the batch's wall clock; a compile that throws fails
+    // the batch before any cell plays.
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t cfgHash = compilerCfgHash(cfg);
+    std::vector<Plan> plans;
+    plans.reserve(batch.size());
+    for (const circuits::Schedule &sched : batch) {
+        const isa::PlanKey key{circuits::scheduleFingerprint(sched) ^ cfgHash,
+                               vlib.version};
+        Plan plan = plans_.get(key);
+        if (!plan) {
+            COMPAQT_TRACE_SPAN("compile", "isa.compile", "events",
+                               sched.events.size());
+            plan = plans_.put(key, compiler.compile(sched), n_shards);
+        }
+        plans.push_back(std::move(plan));
+    }
+    return runGrid(rack_, vlib, exec_, plans, logs_, t0);
 }
 
 } // namespace compaqt::runtime

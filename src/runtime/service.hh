@@ -1,21 +1,23 @@
 /**
  * @file
  * The rack's execution front end: accept a batch of scheduled
- * circuits, split every schedule across the fleet by qubit ownership,
- * execute the (circuit, shard) grid concurrently on a worker pool,
- * and roll the per-shard ExecutionStats up into one RackStats record
- * (fleet demand, waveform-memory model counters, wall-clock
- * throughput).
+ * circuits, fetch or compile each schedule's plan (its shard programs
+ * and per-shard demand), execute the (circuit, shard) grid
+ * concurrently on a worker pool, and roll the per-shard
+ * ExecutionStats up into one RackStats record (fleet demand,
+ * waveform-memory model counters, wall-clock throughput).
  *
  * There is one execution path, the instruction-driven one of
- * COMPAQT's controller (Fig 6): each cell fetches its shard slice's
- * PLAY/WAIT/PREFETCH program from the program cache (compiling it on
- * a miss) and interprets it. Playback decodes every played window,
- * every time — the way COMPAQT decompresses on the way to the DACs.
- * Each cell records the ranges it played and prefetched; once the
- * whole grid has succeeded, the serial reduction replays those
- * records into the rack's waveform-memory model in (circuit, shard)
- * order, which is what makes the model's counters deterministic.
+ * COMPAQT's controller (Fig 6): work that depends only on the
+ * schedule, the compiler knobs and the library epoch — partitioning,
+ * demand accounting, compiling — happens once per plan, at its first
+ * dispatch; every cell then interprets its shard's PLAY/WAIT/PREFETCH
+ * program. Playback decodes every played window, every time — the way
+ * COMPAQT decompresses on the way to the DACs. Each cell records the
+ * ranges it played and prefetched; once the whole grid has succeeded,
+ * the serial reduction replays those records into the rack's
+ * waveform-memory model in (circuit, shard) order, which is what
+ * makes the model's counters deterministic.
  */
 
 #ifndef COMPAQT_RUNTIME_SERVICE_HH
@@ -27,7 +29,6 @@
 #include "circuits/scheduler.hh"
 #include "common/executor.hh"
 #include "isa/compiler.hh"
-#include "isa/program_cache.hh"
 #include "runtime/rack.hh"
 
 namespace compaqt::runtime
@@ -103,10 +104,12 @@ struct ServiceConfig
     /** Worker threads (including the caller); >= 1. */
     int workers = 1;
     /**
-     * Capacity of the compiled-program cache (entries, LRU). Keyed by
-     * (schedule fingerprint, shard, library version), so a hot-swap
-     * never serves a stale artifact — the old version's entries are
-     * simply unreachable and get swept. 0 disables caching.
+     * Capacity of the plan cache in shard programs (LRU). A plan —
+     * one schedule compiled for every shard — weighs the rack's shard
+     * count, so the default holds 64 plans on a 4-shard rack. Keyed by
+     * (schedule fingerprint x compiler knobs, library version), so a
+     * hot-swap never serves a stale artifact — the old version's
+     * plans are simply unreachable and get swept. 0 disables caching.
      */
     std::size_t programCacheEntries = 256;
 };
@@ -156,16 +159,16 @@ class RuntimeService
 
     /**
      * Execute a batch with per-schedule rollups (see BatchExecution);
-     * `.total` is the whole batch. Each cell fetches its shard
-     * slice's program from the program cache, compiling it with
-     * isa::Compiler under `cfg` on a miss, and drives it through
-     * isa::Interpreter against the rack's model. Per shard slice,
-     * every event whose gate the pinned library holds plays once:
-     * one gate, every window of both channels (all of its samples on
-     * an uncompressed rack), and demand is the shard controller's
-     * stats-only execute(). The model counters and prefetchesIssued
-     * depend on the emitted PREFETCHes and the model state, but not
-     * on the worker count.
+     * `.total` is the whole batch. Each schedule's plan comes from
+     * the plan cache — one lookup per schedule — or, on a miss, from
+     * isa::Compiler::compile under `cfg` (partition, then per shard
+     * the program and the controller's stats-only demand); each cell
+     * drives its shard's program through isa::Interpreter against the
+     * rack's model. Per shard slice, every event whose gate the
+     * pinned library holds plays once: one gate, every window of both
+     * channels (all of its samples on an uncompressed rack). The
+     * model counters and prefetchesIssued depend on the emitted
+     * PREFETCHes and the model state, but not on the worker count.
      * @throws std::invalid_argument when a shard's mandatory stream
      *         exceeds cfg.instructionMemoryWords — the whole batch
      *         fails and the model is left untouched
@@ -174,20 +177,25 @@ class RuntimeService
         const std::vector<circuits::Schedule> &batch,
         const isa::CompilerConfig &cfg = {});
 
-    /** Compiled-program cache counters (hits/misses/stale sweeps). */
+    /** Plan-cache counters: one hit or miss per schedule per batch,
+     *  insertions, evictions, stale sweeps; `entries` counts plans. */
     isa::ProgramCacheStats
     programCacheStats() const
     {
-        return progCache_.stats();
+        return plans_.stats();
     }
 
   private:
     const Rack &rack_;
     common::Executor exec_;
-    /** Compiled artifacts keyed by (schedule, shard, library
-     *  version); shared across batches so steady-state serving of a
-     *  repeating workload skips the compiler entirely. */
-    mutable isa::ProgramCache progCache_;
+    /** Compiled plans, shared across batches so steady-state serving
+     *  of a repeating workload skips partition, demand accounting and
+     *  the compiler entirely. */
+    isa::PlanCache plans_;
+    /** The grid's per-cell event logs, cleared and refilled by every
+     *  batch so their capacity carries over (a service has one caller
+     *  at a time). */
+    std::vector<WindowEventLog> logs_;
 };
 
 } // namespace compaqt::runtime

@@ -162,8 +162,10 @@ TieredStoreStats::delta(const TieredStoreStats &before,
 /**
  * The model's state and algorithms, run under the owner's mutex.
  * (gate, library version) maps to a run of per-window nodes, I channel
- * then Q, so a replayed range costs one hash lookup and then one list
- * relink per window. A run is freed once none of its windows is
+ * then Q, so a replayed range costs one hash lookup and then the
+ * per-window counter updates. Consecutive tier-0 windows still linked
+ * in their last play's order move to the MRU end in one splice rather
+ * than one relink each. A run is freed once none of its windows is
  * resident, so retired library versions do not grow memory across
  * hot-swaps.
  */
@@ -244,19 +246,46 @@ struct TieredWindowStore::Model
                             run.iWindows == e.iWindows,
                         "window event outside its gate's window grid");
         current = &run;
-        std::uint64_t inserted = 0;
+        const bool tinyLfu = cfg.admission == AdmissionPolicy::TinyLfu;
+        std::uint64_t inserted = 0, tier0Hits = 0, claimed = 0;
         for (std::uint32_t w = e.first; w < e.first + e.count; ++w) {
+            Node &n = run.nodes[w];
+            if (n.tier == 0) {
+                // A tier-0 hit (or PREFETCH refresh) only moves the
+                // window to the MRU end, so it joins the pending
+                // splice; its counters are summed for the event.
+                if (!e.prefetch) {
+                    if (tinyLfu)
+                        sketch.add(hashWindow(n));
+                    ++tier0Hits;
+                    // The first demand touch of a prefetched window
+                    // claims it.
+                    claimed += n.prefetched ? 1 : 0;
+                    n.prefetched = false;
+                }
+                chain(n);
+                continue;
+            }
+            // Anything else may read or reshape the lists: the pending
+            // splice lands first.
+            flush();
             if (e.prefetch)
-                inserted += prefetch(run.nodes[w], e.tier) ? 1 : 0;
+                inserted += prefetch(n, e.tier) ? 1 : 0;
             else
-                probe(run.nodes[w]);
+                probe(n);
         }
+        flush();
+        stats.hits += tier0Hits;
+        stats.tier[0].hits += tier0Hits;
+        stats.prefetchHits += claimed;
         current = nullptr;
         if (run.resident == 0)
             runs.erase(it);
         return inserted;
     }
 
+    /** Demand probe of a window tier 0 does not hold (apply() serves
+     *  tier-0 hits). */
     void
     probe(Node &n)
     {
@@ -271,17 +300,12 @@ struct TieredWindowStore::Model
                 insert(n, tier);
             return;
         }
+        // Tier 0 probed first and could not serve; tier 1 did.
         ++stats.hits;
-        ++stats.tier[n.tier].hits;
-        // The first demand touch of a prefetched window claims it.
+        ++stats.tier[1].hits;
+        ++stats.tier[0].misses;
         stats.prefetchHits += n.prefetched ? 1 : 0;
         n.prefetched = false;
-        if (n.tier == 0) {
-            move(n, 0);
-            return;
-        }
-        // Tier 0 probed first and could not serve.
-        ++stats.tier[0].misses;
         chargeTier1();
         if (n.touched && cfg.tier0.windows > 0) {
             promote(n);
@@ -292,19 +316,20 @@ struct TieredWindowStore::Model
         }
     }
 
-    /** PREFETCH of one window; true when it inserted a cold one. */
+    /** PREFETCH of a window tier 0 does not hold (apply() refreshes
+     *  tier-0 windows); true when it inserted a cold one. */
     bool
     prefetch(Node &n, std::uint8_t hint)
     {
-        if (n.tier == 1 && hint == 0 && cfg.tier0.windows > 0) {
-            // The compiler saw a short reuse distance: pull the staged
-            // window into the fast tier ahead of its PLAY.
-            chargeTier1();
-            promote(n);
-            return false;
-        }
-        if (n.tier != kAbsent) {
-            move(n, n.tier);
+        if (n.tier == 1) {
+            if (hint == 0 && cfg.tier0.windows > 0) {
+                // The compiler saw a short reuse distance: pull the
+                // staged window into the fast tier ahead of its PLAY.
+                chargeTier1();
+                promote(n);
+            } else {
+                move(n, 1);
+            }
             return false;
         }
         // A hint for a disabled tier falls back to the enabled one.
@@ -380,6 +405,43 @@ struct TieredWindowStore::Model
             stats.tier[tier].residentSamples += n.run->windowSize;
             n.tier = tier;
         }
+    }
+
+    /**
+     * Queue a tier-0 node's move to the MRU end. The pending splice is
+     * a run of nodes linked newest-first, as consecutive windows of one
+     * range are after a play: `n` extends it when it sits right on its
+     * MRU side (n.next is the window before it), which moves the same
+     * nodes to the same place as one relink per window would. Otherwise
+     * the pending splice lands and a new one starts at `n`.
+     */
+    void
+    chain(Node &n)
+    {
+        if (chainNewest && n.next == chainNewest) {
+            chainNewest = &n;
+            return;
+        }
+        flush();
+        chainNewest = chainOldest = &n;
+    }
+
+    /** Move the pending splice [chainNewest .. chainOldest] to the MRU
+     *  end of tier 0 with one unlink and one link. */
+    void
+    flush()
+    {
+        if (!chainNewest)
+            return;
+        chainNewest->prev->next = chainOldest->next;
+        chainOldest->next->prev = chainNewest->prev;
+        Node &h = head[0];
+        chainOldest->next = h.next;
+        h.next->prev = chainOldest;
+        chainNewest->prev = &h;
+        h.next = chainNewest;
+        chainNewest = chainOldest = nullptr;
+        ++splices;
     }
 
     void
@@ -461,6 +523,12 @@ struct TieredWindowStore::Model
     std::unordered_map<RunKey, Run, RunHash> runs;
     /** The run the event being applied plays; never freed mid-event. */
     const Run *current = nullptr;
+    /** The pending splice's MRU-side and LRU-side ends (null: none).
+     *  Only ever pending within one event. */
+    Node *chainNewest = nullptr;
+    Node *chainOldest = nullptr;
+    /** Splices made so far (flushes of a pending chain). */
+    std::uint64_t splices = 0;
     FrequencySketch sketch;
     Stats stats;
 };
@@ -479,8 +547,11 @@ TieredWindowStore::replay(std::span<const WindowEventLog> logs,
     COMPAQT_REQUIRE(prefetches_inserted.size() == logs.size(),
                     "one prefetch tally per replayed log");
     COMPAQT_TRACE_SPAN("cache", "cache.replay", "logs", logs.size());
+    static telemetry::Counter &splices =
+        telemetry::Registry::global().counter("cache.replay.splices");
     std::lock_guard lock(mu_);
     const Stats before = model_->stats;
+    const std::uint64_t splicesBefore = model_->splices;
     for (std::size_t i = 0; i < logs.size(); ++i) {
         std::uint64_t inserted = 0;
         for (const WindowEvent &e : logs[i])
@@ -489,6 +560,7 @@ TieredWindowStore::replay(std::span<const WindowEventLog> logs,
     }
     const Stats d = Stats::delta(before, model_->stats);
     publish(d);
+    splices.add(model_->splices - splicesBefore);
     return d;
 }
 

@@ -193,7 +193,10 @@ class TieredWindowStore
      *  promotes); a miss fills under the admission policy. A PREFETCH
      *  window is inserted cold into its hinted tier or refreshed if
      *  resident (a tier-0 hint promotes a tier-1 window);
-     *  `prefetches_inserted[i]` (one per log) gets log i's cold inserts. */
+     *  `prefetches_inserted[i]` (one per log) gets log i's cold inserts.
+     *  The replay's list splices (one per run of tier-0 windows still
+     *  linked in play order) go to the registry counter
+     *  `cache.replay.splices`. */
     TieredStoreStats replay(std::span<const WindowEventLog> logs,
                             std::span<std::uint64_t> prefetches_inserted);
 

@@ -1201,20 +1201,49 @@ TEST(ProgramCacheTest, LruFirstWinsAndStaleSweep)
     EXPECT_EQ(st.evictions, 1u);
     EXPECT_EQ(st.entries, 1u);
 
-    // Capacity 0 disables caching but still hands back an artifact.
+    // Capacity 0 disables caching but still hands back an artifact,
+    // and every lookup still counts: as a miss.
     ProgramCache off(0);
     InstructionProgram p4;
     p4.emit(Instruction::halt());
+    EXPECT_EQ(off.get({9, 0, 1}), nullptr);
     EXPECT_NE(off.put({9, 0, 1}, std::move(p4)), nullptr);
     EXPECT_EQ(off.get({9, 0, 1}), nullptr);
+    const auto offStats = off.stats();
+    EXPECT_EQ(offStats.misses, 2u);
+    EXPECT_EQ(offStats.hits, 0u);
+    EXPECT_EQ(offStats.insertions, 0u);
+    EXPECT_EQ(offStats.entries, 0u);
+}
+
+TEST(ProgramCacheTest, WeightedEntriesShareTheCapacity)
+{
+    // Capacity counts weight: a weight-2 artifact takes two slots, an
+    // artifact heavier than the whole capacity is handed back
+    // uncached, and eviction frees whole entries until the rest fits.
+    ArtifactCache<ProgramKey, int> cache(4);
+    cache.put({1, 0, 1}, 1, 2);
+    cache.put({2, 0, 1}, 2, 2);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(*cache.put({3, 0, 1}, 3, 5), 3);
+    EXPECT_EQ(cache.get({3, 0, 1}), nullptr);
+    cache.get({1, 0, 1}); // key 2 is now the LRU victim
+    cache.put({4, 0, 1}, 4, 1);
+    const auto st = cache.stats();
+    EXPECT_EQ(st.evictions, 1u);
+    EXPECT_EQ(st.entries, 2u);
+    EXPECT_EQ(cache.get({2, 0, 1}), nullptr);
+    EXPECT_NE(cache.get({1, 0, 1}), nullptr);
+    EXPECT_NE(cache.get({4, 0, 1}), nullptr);
 }
 
 TEST(IsaExecution, ServiceProgramCacheServesRepeatBatches)
 {
     // Steady-state serving of a repeating workload compiles each
-    // (schedule, shard) once; later batches hit the program cache.
-    // Results stay bit-identical, and a hot-swap invalidates the lot
-    // (new version in the key) followed by a sweep.
+    // schedule once, as one plan for every shard; later batches hit
+    // it, one lookup per schedule. Results stay bit-identical, and a
+    // hot-swap invalidates the plan (new version in the key): the next
+    // batch misses and its sweep drops the old one.
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
@@ -1227,19 +1256,25 @@ TEST(IsaExecution, ServiceProgramCacheServesRepeatBatches)
     const auto first = svc.executeBatchCompiledPerJob({sched}).total;
     const auto cold = svc.programCacheStats();
     EXPECT_EQ(cold.hits, 0u);
-    EXPECT_GT(cold.insertions, 0u);
+    EXPECT_EQ(cold.misses, 1u);
+    EXPECT_EQ(cold.insertions, 1u);
 
     const auto second = svc.executeBatchCompiledPerJob({sched}).total;
     const auto warm = svc.programCacheStats();
-    EXPECT_EQ(warm.insertions, cold.insertions); // nothing recompiled
-    EXPECT_GT(warm.hits, 0u);
+    EXPECT_EQ(warm.insertions, 1u); // nothing recompiled
+    EXPECT_EQ(warm.hits, 1u);
+    EXPECT_EQ(warm.misses, 1u);
     expectIdenticalStats(first, second, "cached replay");
 
     rack.swapLibrary(libB);
-    svc.executeBatchCompiledPerJob({sched});
+    const auto third = svc.executeBatchCompiledPerJob({sched}).total;
     const auto swapped = svc.programCacheStats();
-    EXPECT_GT(swapped.insertions, warm.insertions); // recompiled
-    EXPECT_GT(swapped.staleDropped, 0u);            // old swept
+    EXPECT_EQ(swapped.hits, 1u);
+    EXPECT_EQ(swapped.misses, 2u);       // the new version's key
+    EXPECT_EQ(swapped.insertions, 2u);   // recompiled
+    EXPECT_EQ(swapped.staleDropped, 1u); // old plan swept
+    EXPECT_EQ(swapped.entries, 1u);
+    expectIdenticalStats(first, third, "after the swap");
 }
 
 TEST(IsaExecution, StreamShapingConfigsMissEachOtherInProgramCache)
@@ -1273,15 +1308,168 @@ TEST(IsaExecution, StreamShapingConfigsMissEachOtherInProgramCache)
         runtime::RuntimeService svc(rack, {.workers = 1});
         svc.executeBatchCompiledPerJob(batch, base);
         const auto warm = svc.programCacheStats();
-        ASSERT_EQ(warm.misses, 2u) << v.field;
+        ASSERT_EQ(warm.misses, 1u) << v.field;
         svc.executeBatchCompiledPerJob(batch, v.cfg);
         const auto other = svc.programCacheStats();
         EXPECT_EQ(other.hits, warm.hits) << v.field;
-        EXPECT_EQ(other.misses, warm.misses + 2) << v.field;
+        EXPECT_EQ(other.misses, warm.misses + 1) << v.field;
         svc.executeBatchCompiledPerJob(batch, base);
-        EXPECT_EQ(svc.programCacheStats().hits, other.hits + 2)
+        EXPECT_EQ(svc.programCacheStats().hits, other.hits + 1)
             << v.field;
     }
+}
+
+TEST_F(IsaCompilerTest, CompileAccountsEachShardsDemand)
+{
+    // A plan carries each shard's demand: the shard controller's
+    // stats-only execute() of its slice, field by field — on the
+    // coupling walk and on a d=5 surface-code cycle.
+    const auto sc = circuits::makeSurfaceCode(
+        5, circuits::SurfaceLayout::Rotated, 1);
+    const auto qecDev = waveform::DeviceModel::synthetic(
+        "d5-device", sc.totalQubits(), sc.nativeCoupling().edges());
+    const auto qecLib =
+        buildCompressed(waveform::PulseLibrary::build(qecDev));
+    struct Case
+    {
+        const char *name;
+        runtime::Rack rack;
+        circuits::Schedule sched;
+    };
+    const Case cases[] = {
+        {"bogota walk", makeRack(2, 4096), deviceWorkload(*dev_)},
+        {"d=5 QEC",
+         runtime::Rack(qecDev, qecLib, rackConfig(qecLib, 4, 1 << 15)),
+         circuits::schedule(sc.circuit, {})},
+    };
+    for (const Case &tc : cases) {
+        const int n = tc.rack.numShards();
+        const auto plan = Compiler(tc.rack).compile(tc.sched);
+        const auto parts = circuits::partitionByOwner(
+            tc.sched, tc.rack.plan().owner, n);
+        ASSERT_EQ(plan.demand.size(), static_cast<std::size_t>(n))
+            << tc.name;
+        const auto vlib = tc.rack.currentLibrary();
+        for (int k = 0; k < n; ++k) {
+            const auto &got = plan.demand[static_cast<std::size_t>(k)];
+            const auto want = tc.rack.controller(k).execute(
+                parts[static_cast<std::size_t>(k)], *vlib);
+            const std::string tag =
+                std::string(tc.name) + " shard " + std::to_string(k);
+            EXPECT_GT(want.totalSamples, 0u) << tag;
+            EXPECT_EQ(got.peakBanks, want.peakBanks) << tag;
+            EXPECT_EQ(got.peakChannels, want.peakChannels) << tag;
+            EXPECT_EQ(got.feasible, want.feasible) << tag;
+            EXPECT_EQ(got.totalSamples, want.totalSamples) << tag;
+            EXPECT_EQ(got.bypassSamples, want.bypassSamples) << tag;
+            EXPECT_EQ(got.totalWordsRead, want.totalWordsRead) << tag;
+            EXPECT_EQ(got.peakBandwidthBytesPerSec,
+                      want.peakBandwidthBytesPerSec)
+                << tag;
+            EXPECT_EQ(got.missingGates, want.missingGates) << tag;
+        }
+    }
+}
+
+TEST_F(IsaCompilerTest, PlanHitsMatchTheOracle)
+{
+    // A batch served from cached plans reports, job by job, what the
+    // schedule-and-library oracle predicts — unowned events included
+    // (the 8-qubit circuit on the 5-qubit rack) — at 1 and N workers.
+    circuits::Circuit c(8);
+    for (int q = 0; q < 8; ++q)
+        c.x(q);
+    const auto mismatch = circuits::schedule(c, {});
+    const std::vector<circuits::Schedule> batch = {
+        mismatch, deviceWorkload(*dev_), mismatch};
+    for (const int workers : {1, 4}) {
+        const auto rack = makeRack(2, 4096);
+        runtime::RuntimeService svc(rack, {.workers = workers});
+        svc.executeBatchCompiledPerJob(batch);
+        // The repeat within the first batch already hit.
+        EXPECT_EQ(svc.programCacheStats().misses, 2u);
+        EXPECT_EQ(svc.programCacheStats().hits, 1u);
+        const auto exec = svc.executeBatchCompiledPerJob(batch);
+        EXPECT_EQ(svc.programCacheStats().hits, 4u);
+        ASSERT_EQ(exec.jobs.size(), batch.size());
+        for (std::size_t j = 0; j < batch.size(); ++j) {
+            const std::string tag = "workers " + std::to_string(workers) +
+                                    " job " + std::to_string(j);
+            expectIdenticalStats(oracle::rackStats(rack, {batch[j]}),
+                                 exec.jobs[j], tag.c_str());
+        }
+        EXPECT_EQ(exec.jobs[0].unownedEvents, 3u);
+        EXPECT_EQ(exec.total.unownedEvents, 6u);
+        expectIdenticalStats(oracle::rackStats(rack, batch), exec.total,
+                             "batch");
+    }
+}
+
+TEST_F(IsaCompilerTest, PlanCacheKeysTheWholeSchedule)
+{
+    // A schedule that differs from a cached one only in one event's
+    // start is a different plan: it misses and compiles its own.
+    const auto rack = makeRack(2, 4096);
+    runtime::RuntimeService svc(rack, {.workers = 1});
+    const auto sched = deviceWorkload(*dev_);
+    auto shifted = sched;
+    shifted.events.back().start += 1e-9;
+    svc.executeBatchCompiledPerJob({sched});
+    svc.executeBatchCompiledPerJob({shifted});
+    auto st = svc.programCacheStats();
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_EQ(st.misses, 2u);
+    EXPECT_EQ(st.entries, 2u);
+    svc.executeBatchCompiledPerJob({sched, shifted});
+    EXPECT_EQ(svc.programCacheStats().hits, 2u);
+}
+
+TEST_F(IsaCompilerTest, PlanCacheCapacityCountsShardPrograms)
+{
+    // A plan weighs one entry per shard program: a capacity of 8 on a
+    // 4-shard rack holds two plans, so a third evicts the LRU one.
+    const auto rack = makeRack(4, 4096);
+    runtime::RuntimeService svc(
+        rack, {.workers = 1, .programCacheEntries = 8});
+    std::vector<circuits::Schedule> scheds;
+    for (int q = 0; q < 3; ++q) {
+        circuits::Circuit c(5);
+        c.x(q);
+        scheds.push_back(circuits::schedule(c, {}));
+    }
+    for (const auto &s : scheds)
+        svc.executeBatchCompiledPerJob({s});
+    auto st = svc.programCacheStats();
+    EXPECT_EQ(st.insertions, 3u);
+    EXPECT_EQ(st.evictions, 1u);
+    EXPECT_EQ(st.entries, 2u);
+    svc.executeBatchCompiledPerJob({scheds[2], scheds[1]});
+    EXPECT_EQ(svc.programCacheStats().hits, 2u);
+    svc.executeBatchCompiledPerJob({scheds[0]}); // evicted: compiles
+    st = svc.programCacheStats();
+    EXPECT_EQ(st.hits, 2u);
+    EXPECT_EQ(st.misses, 4u);
+}
+
+TEST_F(IsaCompilerTest, DisabledPlanCacheCountsEveryLookup)
+{
+    // programCacheEntries = 0 compiles every schedule of every batch
+    // and says so: one miss per schedule, nothing held.
+    const auto rack = makeRack(2, 4096);
+    runtime::RuntimeService off(
+        rack, {.workers = 1, .programCacheEntries = 0});
+    runtime::RuntimeService on(rack, {.workers = 1});
+    const auto sched = deviceWorkload(*dev_);
+    for (int b = 0; b < 2; ++b)
+        expectIdenticalStats(
+            on.executeBatchCompiledPerJob({sched, sched}).total,
+            off.executeBatchCompiledPerJob({sched, sched}).total,
+            "disabled");
+    const auto st = off.programCacheStats();
+    EXPECT_EQ(st.misses, 4u);
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_EQ(st.insertions, 0u);
+    EXPECT_EQ(st.entries, 0u);
 }
 
 } // namespace

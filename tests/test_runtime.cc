@@ -12,9 +12,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <list>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "core/pipeline.hh"
 #include "dsp/int_dct.hh"
 #include "common/executor.hh"
+#include "common/rng.hh"
 #include "runtime/playback.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
@@ -469,36 +473,141 @@ TEST(TieredStore, TinyLfuChallengesTheVictimFrequency)
     EXPECT_EQ(s.hits, 3u); // warm passes + resident C
 }
 
+/** Every counter and point-in-time field of two model snapshots. */
+void
+expectSameModel(const TieredStoreStats &x, const TieredStoreStats &y,
+                const std::string &tag)
+{
+    EXPECT_EQ(x.hits, y.hits) << tag;
+    EXPECT_EQ(x.misses, y.misses) << tag;
+    EXPECT_EQ(x.evictions, y.evictions) << tag;
+    EXPECT_EQ(x.prefetches, y.prefetches) << tag;
+    EXPECT_EQ(x.prefetchHits, y.prefetchHits) << tag;
+    EXPECT_EQ(x.prefetchWasted, y.prefetchWasted) << tag;
+    EXPECT_EQ(x.promotions, y.promotions) << tag;
+    EXPECT_EQ(x.demotions, y.demotions) << tag;
+    EXPECT_EQ(x.penaltyCycles, y.penaltyCycles) << tag;
+    EXPECT_EQ(x.entries, y.entries) << tag;
+    EXPECT_EQ(x.residentSamples, y.residentSamples) << tag;
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(x.tier[t].hits, y.tier[t].hits) << tag;
+        EXPECT_EQ(x.tier[t].misses, y.tier[t].misses) << tag;
+        EXPECT_EQ(x.tier[t].evictions, y.tier[t].evictions) << tag;
+        EXPECT_EQ(x.tier[t].admitted, y.tier[t].admitted) << tag;
+        EXPECT_EQ(x.tier[t].admitRejected, y.tier[t].admitRejected)
+            << tag;
+        EXPECT_EQ(x.tier[t].entries, y.tier[t].entries) << tag;
+        EXPECT_EQ(x.tier[t].residentSamples, y.tier[t].residentSamples)
+            << tag;
+    }
+}
+
+/** A seeded log over `gates` gates (window size 8 or 16 by qubit):
+ *  play ranges and, one in four, PREFETCH ranges with either hint. */
+WindowEventLog
+randomLog(Rng &rng, std::uint64_t gates, std::uint64_t version)
+{
+    WindowEventLog log(2 + rng.uniformInt(10));
+    for (WindowEvent &e : log) {
+        const auto q = static_cast<int>(rng.uniformInt(gates));
+        const auto first = static_cast<std::uint32_t>(rng.uniformInt(64));
+        const auto count =
+            static_cast<std::uint32_t>(1 + rng.uniformInt(64 - first));
+        e = play(q, first, count, q % 2 == 0 ? 8 : 16, version);
+        if (rng.uniformInt(4) == 0) {
+            e.prefetch = true;
+            e.tier = static_cast<std::uint8_t>(rng.uniformInt(2));
+        }
+    }
+    return log;
+}
+
+/**
+ * What a single-tier admit-always model must count, written as a plain
+ * LRU over (qubit, version, window) keys — no node runs, no splices.
+ */
+struct ReferenceLru
+{
+    using Key = std::tuple<int, std::uint64_t, std::uint32_t>;
+    struct Slot
+    {
+        std::list<Key>::iterator at;
+        std::uint32_t samples = 0;
+        bool prefetched = false;
+    };
+
+    explicit ReferenceLru(const TierConfig &b) : budget(b) {}
+
+    TierConfig budget;
+    std::list<Key> order; //< front = most recent
+    std::map<Key, Slot> slots;
+    TieredStoreStats stats;
+    /** Cold prefetch inserts. */
+    std::uint64_t inserted = 0;
+
+    void
+    apply(const WindowEventLog &log)
+    {
+        for (const WindowEvent &e : log)
+            for (std::uint32_t w = e.first; w < e.first + e.count; ++w)
+                access(e, Key{e.gate.q0, e.libVersion, w});
+    }
+
+    void
+    access(const WindowEvent &e, const Key &k)
+    {
+        if (const auto it = slots.find(k); it != slots.end()) {
+            order.splice(order.begin(), order, it->second.at);
+            if (!e.prefetch) {
+                ++stats.hits;
+                ++stats.tier[0].hits;
+                stats.prefetchHits += it->second.prefetched ? 1 : 0;
+                it->second.prefetched = false;
+            }
+            return;
+        }
+        if (e.prefetch) {
+            ++stats.prefetches;
+            ++inserted;
+        } else {
+            ++stats.misses;
+            ++stats.tier[0].misses;
+        }
+        order.push_front(k);
+        slots[k] = {order.begin(), e.windowSize, e.prefetch};
+        ++stats.tier[0].admitted;
+        stats.residentSamples += e.windowSize;
+        while (slots.size() > budget.windows ||
+               (budget.sampleBudget > 0 &&
+                stats.residentSamples > budget.sampleBudget &&
+                slots.size() > 1)) {
+            const Slot &victim = slots.at(order.back());
+            stats.residentSamples -= victim.samples;
+            stats.prefetchWasted += victim.prefetched ? 1 : 0;
+            ++stats.evictions;
+            ++stats.tier[0].evictions;
+            slots.erase(order.back());
+            order.pop_back();
+        }
+        stats.entries = stats.tier[0].entries = slots.size();
+        stats.tier[0].residentSamples = stats.residentSamples;
+    }
+};
+
 TEST(TieredStore, RangeEventsMatchPerWindowEvents)
 {
     // One event per PLAY range or PREFETCH streak is a recording
-    // format, not a model change: a stream replayed as ranges must
-    // land on exactly the counters and cold-insert tallies of the same
-    // windows replayed one event each — across policies, tier splits,
-    // eviction pressure, and prefetch ranges with either hint over
-    // cold, tier-1 and resident windows.
-    const std::vector<WindowEvent> stream = {
-        play(0, 0, 12),         play(1, 0, 20),
-        prefetch(4, 0, 0, 10),  play(0, 0, 12),
-        prefetch(2, 3),         play(2, 0, 8),
-        prefetch(1, 12, 1, 14), play(1, 4, 9),
-        play(3, 0, 30),         prefetch(0, 0, 0, 12),
-        play(0, 2, 6),          play(1, 0, 20),
-        prefetch(0, 40, 1),     prefetch(3, 20, 1, 16),
-        play(0, 36, 8),         play(4, 0, 10),
-        play(3, 0, 30),         prefetch(2, 0, 0, 8),
-        play(0, 0, 12),         play(2, 0, 8)};
-    WindowEventLog ranges, singles;
-    for (int pass = 0; pass < 3; ++pass)
-        for (const auto &e : stream) {
-            ranges.push_back(e);
-            for (std::uint32_t w = e.first; w < e.first + e.count; ++w) {
-                WindowEvent one = e;
-                one.first = w;
-                one.count = 1;
-                singles.push_back(one);
-            }
-        }
+    // format, not a model change, and so is the splice that moves a
+    // run of tier-0 windows still linked in their last play's order:
+    // a log replayed as ranges must land on exactly the counters and
+    // cold-insert tallies of the same windows replayed one event each
+    // (where no run is longer than one window). Each trial replays one
+    // seeded log many times, so chains form, and now and then swaps in
+    // a fresh log or a new library version — across policies, tier
+    // splits, sample budgets, eviction pressure, and prefetch ranges
+    // with either hint over cold, tier-1 and resident windows. The
+    // single-tier admit-always shapes are also checked against a plain
+    // LRU, which moves every window on its own.
     struct Shape
     {
         TierConfig tier0, tier1;
@@ -510,40 +619,75 @@ TEST(TieredStore, RangeEventsMatchPerWindowEvents)
         {{16, 0}, {24, 0}, AdmissionPolicy::AdmitAlways},
         {{24, 0}, {}, AdmissionPolicy::TinyLfu},
         {{12, 96}, {32, 0}, AdmissionPolicy::TinyLfu},
+        {{64, 400}, {}, AdmissionPolicy::AdmitAlways},
+        {{48, 300}, {64, 600}, AdmissionPolicy::TinyLfu},
     };
+    constexpr std::uint64_t kTrials = 40;
+    constexpr int kReplays = 24;
+    auto &splices = telemetry::Registry::global().counter(
+        "cache.replay.splices");
     for (const Shape &sh : shapes) {
         const TieredStoreConfig cfg{sh.tier0, sh.tier1, sh.admission, 8};
-        TieredWindowStore a(cfg), b(cfg);
-        std::uint64_t ia = 0, ib = 0;
-        const auto x = replayLog(a, ranges, &ia);
-        const auto y = replayLog(b, singles, &ib);
-        const std::string tag = std::string(admissionPolicyName(sh.admission)) +
-                                " t0=" + std::to_string(sh.tier0.windows) +
-                                " t1=" + std::to_string(sh.tier1.windows);
-        EXPECT_GT(x.hits, 0u) << tag;
-        EXPECT_GT(x.prefetches, 0u) << tag;
-        EXPECT_EQ(ia, x.prefetches) << tag;
-        EXPECT_EQ(ia, ib) << tag;
-        EXPECT_EQ(x.hits, y.hits) << tag;
-        EXPECT_EQ(x.misses, y.misses) << tag;
-        EXPECT_EQ(x.evictions, y.evictions) << tag;
-        EXPECT_EQ(x.prefetches, y.prefetches) << tag;
-        EXPECT_EQ(x.prefetchHits, y.prefetchHits) << tag;
-        EXPECT_EQ(x.prefetchWasted, y.prefetchWasted) << tag;
-        EXPECT_EQ(x.promotions, y.promotions) << tag;
-        EXPECT_EQ(x.demotions, y.demotions) << tag;
-        EXPECT_EQ(x.penaltyCycles, y.penaltyCycles) << tag;
-        EXPECT_EQ(x.entries, y.entries) << tag;
-        EXPECT_EQ(x.residentSamples, y.residentSamples) << tag;
-        for (std::size_t t = 0; t < 2; ++t) {
-            EXPECT_EQ(x.tier[t].hits, y.tier[t].hits) << tag;
-            EXPECT_EQ(x.tier[t].misses, y.tier[t].misses) << tag;
-            EXPECT_EQ(x.tier[t].evictions, y.tier[t].evictions) << tag;
-            EXPECT_EQ(x.tier[t].admitted, y.tier[t].admitted) << tag;
-            EXPECT_EQ(x.tier[t].admitRejected, y.tier[t].admitRejected)
-                << tag;
-            EXPECT_EQ(x.tier[t].entries, y.tier[t].entries) << tag;
+        const std::string shape =
+            std::string(admissionPolicyName(sh.admission)) +
+            " t0=" + std::to_string(sh.tier0.windows) + "/" +
+            std::to_string(sh.tier0.sampleBudget) +
+            " t1=" + std::to_string(sh.tier1.windows) + "/" +
+            std::to_string(sh.tier1.sampleBudget);
+        std::uint64_t rangeSplices = 0, windowSplices = 0, hits = 0;
+        for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
+            Rng rng(seed);
+            const std::uint64_t gates = 1 + rng.uniformInt(6);
+            std::uint64_t version = 1;
+            WindowEventLog log = randomLog(rng, gates, version);
+            TieredWindowStore a(cfg), b(cfg);
+            const bool flatLru = sh.tier1.windows == 0 &&
+                                 sh.admission == AdmissionPolicy::AdmitAlways;
+            ReferenceLru lru(sh.tier0);
+            for (int r = 0; r < kReplays; ++r) {
+                if (rng.uniformInt(8) == 0)
+                    log = randomLog(rng, gates, version);
+                if (rng.uniformInt(12) == 0) {
+                    ++version;
+                    for (WindowEvent &e : log)
+                        e.libVersion = version;
+                }
+                WindowEventLog windows;
+                for (const WindowEvent &e : log)
+                    for (std::uint32_t w = e.first; w < e.first + e.count;
+                         ++w) {
+                        WindowEvent one = e;
+                        one.first = w;
+                        one.count = 1;
+                        windows.push_back(one);
+                    }
+                std::uint64_t ia = 0, ib = 0;
+                const std::uint64_t s0 = splices.value();
+                const auto x = replayLog(a, log, &ia);
+                const std::uint64_t s1 = splices.value();
+                const auto y = replayLog(b, windows, &ib);
+                rangeSplices += s1 - s0;
+                windowSplices += splices.value() - s1;
+                hits += x.tier[0].hits;
+                const std::string tag = shape + " seed " +
+                                        std::to_string(seed) + " replay " +
+                                        std::to_string(r);
+                EXPECT_EQ(ia, x.prefetches) << tag;
+                EXPECT_EQ(ia, ib) << tag;
+                expectSameModel(x, y, tag);
+                if (flatLru) {
+                    const std::uint64_t before = lru.inserted;
+                    lru.apply(log);
+                    EXPECT_EQ(ia, lru.inserted - before) << tag;
+                    expectSameModel(a.stats(), lru.stats, tag + " vs LRU");
+                }
+            }
+            expectSameModel(a.stats(), b.stats(), shape);
         }
+        // Chains formed: ranges moved their tier-0 windows in fewer
+        // splices than one per window.
+        EXPECT_GT(hits, 0u) << shape;
+        EXPECT_LT(rangeSplices, windowSplices) << shape;
     }
 }
 
