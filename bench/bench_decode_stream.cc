@@ -314,7 +314,8 @@ main(int argc, char **argv)
                 for (std::size_t w = 0; w < nwin; ++w) {
                     auto out =
                         std::make_shared<std::vector<double>>();
-                    dec.decompressWindow(channel, cw.codec, w, *out);
+                    out->resize(channel.windowSamples(w));
+                    dec.decompressWindowInto(channel, cw.codec, w, *out);
                     n += out->size();
                 }
                 return n;

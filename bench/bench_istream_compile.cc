@@ -48,7 +48,7 @@ struct Workload
     int distance;
     std::size_t qubits;
     waveform::DeviceModel dev;
-    core::CompressedLibrary clib;
+    std::shared_ptr<const core::CompressedLibrary> clib;
     circuits::Schedule syndrome;
 };
 
@@ -64,7 +64,8 @@ makeWorkload(int distance)
         "istream-surface-" + std::to_string(sc.totalQubits()),
         sc.totalQubits(), sc.nativeCoupling().edges());
     const auto lib = waveform::PulseLibrary::build(dev);
-    auto clib = bench::buildCompressed(lib, "int-dct", 16);
+    auto clib = std::make_shared<const core::CompressedLibrary>(
+        bench::buildCompressed(lib, "int-dct", 16));
     return Workload{distance, sc.totalQubits(), std::move(dev),
                     std::move(clib),
                     circuits::schedule(sc.circuit, {})};
@@ -78,7 +79,7 @@ rackConfig(const Workload &w, int shards, std::size_t cache_windows)
     rc.policy = runtime::ShardPolicy::LocalityAware;
     rc.controller.compressed = true;
     rc.controller.windowSize = 16;
-    rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
+    rc.controller.memoryWidth = w.clib->worstCaseWindowWords();
     rc.cacheWindows = cache_windows;
     return rc;
 }

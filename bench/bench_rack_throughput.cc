@@ -49,7 +49,7 @@ struct Workload
     int distance;
     std::size_t qubits;
     waveform::DeviceModel dev;
-    core::CompressedLibrary clib;
+    std::shared_ptr<const core::CompressedLibrary> clib;
     std::vector<circuits::Schedule> batch;
 };
 
@@ -62,7 +62,8 @@ makeWorkload(int distance, int batch_size)
         "rack-surface-" + std::to_string(sc.totalQubits()),
         sc.totalQubits(), sc.nativeCoupling().edges());
     const auto lib = waveform::PulseLibrary::build(dev);
-    auto clib = bench::buildCompressed(lib, "int-dct", 16);
+    auto clib = std::make_shared<const core::CompressedLibrary>(
+        bench::buildCompressed(lib, "int-dct", 16));
     const auto sched = circuits::schedule(sc.circuit, {});
     return Workload{
         distance, sc.totalQubits(), std::move(dev), std::move(clib),
@@ -78,7 +79,7 @@ rackConfig(const Workload &w, int shards, std::size_t cache_windows)
     rc.policy = runtime::ShardPolicy::LocalityAware;
     rc.controller.compressed = true;
     rc.controller.windowSize = 16;
-    rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
+    rc.controller.memoryWidth = w.clib->worstCaseWindowWords();
     rc.cacheWindows = cache_windows;
     return rc;
 }
@@ -223,7 +224,7 @@ uniqueWindows(const core::CompressedLibrary &clib,
 struct SkewWorkload
 {
     waveform::DeviceModel dev;
-    core::CompressedLibrary clib;
+    std::shared_ptr<const core::CompressedLibrary> clib;
     std::vector<circuits::Schedule> batch;
     /** Unique windows of the hot QEC tenant / the churn tenant. */
     std::size_t hotWindows = 0;
@@ -253,7 +254,8 @@ makeSkewedWorkload(int hot_replays, int churn_factor)
     // Wider windows than the headline sweep: a skewed-workload miss
     // should cost a real decode (32-point IDCT), the way a slow-path
     // fetch costs real cycles on the ASIC.
-    auto clib = bench::buildCompressed(lib, "int-dct", 32);
+    auto clib = std::make_shared<const core::CompressedLibrary>(
+        bench::buildCompressed(lib, "int-dct", 32));
 
     const auto hot = circuits::schedule(sc.circuit, {});
     std::vector<circuits::Schedule> churn_parts;
@@ -270,12 +272,12 @@ makeSkewedWorkload(int hot_replays, int churn_factor)
     }
 
     SkewWorkload w{std::move(dev), std::move(clib), {}, 0, 0, 1.0};
-    w.hotWindows = uniqueWindows(w.clib, hot);
+    w.hotWindows = uniqueWindows(*w.clib, hot);
     for (const auto &part : churn_parts)
-        w.churnWindows += uniqueWindows(w.clib, part);
+        w.churnWindows += uniqueWindows(*w.clib, part);
     {
         std::size_t words = 0, windows = 0;
-        for (const auto &[id, e] : w.clib.entries())
+        for (const auto &[id, e] : w.clib->entries())
             for (const auto *ch : {&e.cw.i, &e.cw.q}) {
                 words += ch->totalWords();
                 windows += ch->windows.size();
@@ -321,7 +323,7 @@ runSkew(const SkewWorkload &w, const SkewConfig &cfg, int shards,
     rc.policy = runtime::ShardPolicy::LocalityAware;
     rc.controller.compressed = true;
     rc.controller.windowSize = static_cast<std::uint32_t>(ws);
-    rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
+    rc.controller.memoryWidth = w.clib->worstCaseWindowWords();
     rc.cacheWindows = cfg.tier0;
     rc.cacheSampleBudget = cfg.tier0 * ws;
     rc.tier1Windows = cfg.tier1;

@@ -62,7 +62,7 @@ struct Workload
 {
     std::size_t qubits;
     waveform::DeviceModel dev;
-    core::CompressedLibrary clib;
+    std::shared_ptr<const core::CompressedLibrary> clib;
     /** Heavy job: one full syndrome-extraction round. */
     circuits::Schedule syndrome;
     /** Light job: a short calibration ping (a handful of 1q
@@ -87,7 +87,8 @@ makeWorkload(int distance)
         "serving-surface-" + std::to_string(sc.totalQubits()),
         sc.totalQubits(), sc.nativeCoupling().edges());
     const auto lib = waveform::PulseLibrary::build(dev);
-    auto clib = bench::buildCompressed(lib, "int-dct", 16);
+    auto clib = std::make_shared<const core::CompressedLibrary>(
+        bench::buildCompressed(lib, "int-dct", 16));
     const int n = static_cast<int>(sc.totalQubits());
     circuits::Circuit ping(n);
     for (int q = 0; q < std::min(n, 8); ++q)
@@ -107,7 +108,7 @@ rackConfig(const Workload &w, int shards)
     rc.policy = runtime::ShardPolicy::LocalityAware;
     rc.controller.compressed = true;
     rc.controller.windowSize = 16;
-    rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
+    rc.controller.memoryWidth = w.clib->worstCaseWindowWords();
     rc.cacheWindows = 1u << 15;
     return rc;
 }
@@ -121,12 +122,6 @@ serverConfig(const Workload &w, int shards, int workers,
             .workers = workers,
             .queueDepth = queue_depth,
             .maxBatch = 16};
-}
-
-std::shared_ptr<const core::CompressedLibrary>
-sharedLibrary(const Workload &w)
-{
-    return std::make_shared<const core::CompressedLibrary>(w.clib);
 }
 
 struct QueuedRun
@@ -201,7 +196,7 @@ runQueued(const Workload &w, int shards, int tenants,
           int reps)
 {
     runtime::Server server(
-        w.dev, sharedLibrary(w),
+        w.dev, w.clib,
         serverConfig(w, shards, workers, queue_depth));
     const auto tenant_names = tenantNames(tenants);
 
@@ -249,7 +244,7 @@ Comparison
 compareFrontEnds(const Workload &w, int shards, int tenants,
                  int jobs_per_tenant, int workers, int passes)
 {
-    runtime::Server server(w.dev, sharedLibrary(w),
+    runtime::Server server(w.dev, w.clib,
                            serverConfig(w, shards, workers, 1024));
     const runtime::Rack srack(w.dev, w.clib, rackConfig(w, shards));
     runtime::RuntimeService svc(srack, {.workers = workers});
@@ -436,7 +431,7 @@ main(int argc, char **argv)
         const std::size_t depth = 8;
         const int overflow = 3;
         runtime::Server server(
-            w.dev, sharedLibrary(w),
+            w.dev, w.clib,
             serverConfig(w, shards, compare_workers, depth));
         server.pause();
         std::vector<std::future<runtime::JobResult>> futs;

@@ -16,6 +16,7 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "core/decompressor.hh"
+#include "core/library_compiler.hh"
 #include "fidelity/pulse_sim.hh"
 #include "fidelity/rb.hh"
 
@@ -31,7 +32,11 @@ extraErrorPerClifford(const waveform::PulseLibrary &lib,
     core::FidelityAwareConfig cfg;
     cfg.base.codec = codec;
     cfg.base.windowSize = ws;
-    const auto clib = core::CompressedLibrary::build(lib, cfg);
+    const auto clib = core::LibraryCompiler({.fidelity = cfg,
+                                             .workers = 1,
+                                             .planPerChannel = false})
+                          .compile(lib)
+                          .library;
     core::Decompressor dec;
     double cx = 0.0, oneq = 0.0;
     int ncx = 0, n1 = 0;

@@ -56,7 +56,7 @@ namespace
 struct Workload
 {
     waveform::DeviceModel dev;
-    core::CompressedLibrary clib;
+    std::shared_ptr<const core::CompressedLibrary> clib;
     std::vector<circuits::Schedule> batch;
 };
 
@@ -69,7 +69,8 @@ makeWorkload(int distance, int batch_size)
         "telem-surface-" + std::to_string(sc.totalQubits()),
         sc.totalQubits(), sc.nativeCoupling().edges());
     const auto lib = waveform::PulseLibrary::build(dev);
-    auto clib = bench::buildCompressed(lib, "int-dct", 16);
+    auto clib = std::make_shared<const core::CompressedLibrary>(
+        bench::buildCompressed(lib, "int-dct", 16));
     const auto sched = circuits::schedule(sc.circuit, {});
     return Workload{std::move(dev), std::move(clib),
                     std::vector<circuits::Schedule>(
@@ -84,7 +85,7 @@ rackConfig(const Workload &w)
     rc.policy = runtime::ShardPolicy::LocalityAware;
     rc.controller.compressed = true;
     rc.controller.windowSize = 16;
-    rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
+    rc.controller.memoryWidth = w.clib->worstCaseWindowWords();
     rc.cacheWindows = 1u << 15;
     return rc;
 }
@@ -131,7 +132,7 @@ std::size_t
 tracedServingRun(const Workload &w, int jobs_per_tenant)
 {
     runtime::Server server(
-        w.dev, std::make_shared<const core::CompressedLibrary>(w.clib),
+        w.dev, w.clib,
         {.rack = rackConfig(w), .workers = 2, .maxBatch = 4});
 
     auto &trace = telemetry::Trace::global();

@@ -10,7 +10,9 @@
  * Build & run:  ./build/adaptive_flattop
  */
 
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "common/table.hh"
 #include "common/units.hh"
@@ -63,13 +65,14 @@ main()
     const core::CompressedEntry &e = planned.library.entry(cr);
     uarch::DecompressionPipeline pipe(uarch::EngineKind::IntDctW, 16,
                                       16);
-    const auto stream = pipe.streamAdaptive(e.cw.i);
+    std::vector<std::int32_t> samples(e.cw.i.numWindows() * 16);
+    const auto stats = pipe.streamAdaptiveInto(e.cw.i, samples);
     std::cout << "\nCX(q0,q1) I channel: adaptive="
               << (e.cw.i.isAdaptive() ? "yes" : "no") << ", "
-              << stream.stats.samplesOut << " samples, "
-              << stream.stats.bypassSamples << " via bypass, "
-              << stream.stats.idctWindows << " IDCT windows, "
-              << stream.stats.wordsRead << " words read\n";
+              << stats.samplesOut << " samples, "
+              << stats.bypassSamples << " via bypass, "
+              << stats.idctWindows << " IDCT windows, "
+              << stats.wordsRead << " words read\n";
 
     // Power: Fig 19's comparison, driven by the shipped channel.
     const double frac = power::idctFraction(e.cw.i);

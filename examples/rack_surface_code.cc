@@ -14,6 +14,7 @@
  */
 
 #include <iostream>
+#include <memory>
 
 #include "circuits/scheduler.hh"
 #include "circuits/surface_code.hh"
@@ -42,11 +43,14 @@ main()
             "rack-surface-" + std::to_string(sc.totalQubits()),
             sc.totalQubits(), sc.nativeCoupling().edges());
         const auto lib = waveform::PulseLibrary::build(dev);
-        const auto clib = core::CompressionPipeline::with("int-dct")
-                              .window(16)
-                              .mseTarget(1e-5)
-                              .build()
-                              .compressLibrary(lib);
+        // The rack owns the library: a shared_ptr published through
+        // its LibraryRegistry.
+        const auto clib = std::make_shared<const core::CompressedLibrary>(
+            core::CompressionPipeline::with("int-dct")
+                .window(16)
+                .mseTarget(1e-5)
+                .build()
+                .compressLibrary(lib));
 
         // One shard per ~16 qubits: the per-RFSoC granularity of the
         // paper's Table V capacity numbers.
@@ -57,7 +61,7 @@ main()
         rc.policy = runtime::ShardPolicy::LocalityAware;
         rc.controller.compressed = true;
         rc.controller.windowSize = 16;
-        rc.controller.memoryWidth = clib.worstCaseWindowWords();
+        rc.controller.memoryWidth = clib->worstCaseWindowWords();
         rc.cacheWindows = 1u << 15;
         const runtime::Rack rack(dev, clib, rc);
         runtime::RuntimeService svc(rack, {.workers = 4});

@@ -61,8 +61,11 @@ main()
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = clib.worstCaseWindowWords();
-    uarch::Controller ctl(cc, clib);
-    const auto stats = ctl.execute(sched);
+    // The controller holds no library: validate the contract once,
+    // then pass the library to each call.
+    uarch::Controller::validateLibrary(cc, clib);
+    const uarch::Controller ctl(cc);
+    const auto stats = ctl.execute(sched, clib);
     std::cout << "COMPAQT controller execution:\n"
               << "  peak banks " << stats.peakBanks << " / "
               << cc.totalBrams << " ("
@@ -82,7 +85,7 @@ main()
     // How many such patches fit per controller?
     uarch::ControllerConfig uc = cc;
     uc.compressed = false;
-    const uarch::Controller base(uc, clib);
+    const uarch::Controller base(uc);
     Table t("logical qubits per RFSoC controller (surface-17)");
     t.header({"design", "physical qubits", "logical qubits"});
     t.row({"uncompressed",

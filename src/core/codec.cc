@@ -192,15 +192,6 @@ ICodec::decompressChannel(const CompressedChannel &ch,
     decodeInto(ch, out);
 }
 
-void
-ICodec::decompressWindow(const CompressedChannel &ch,
-                         std::size_t window,
-                         std::vector<double> &out) const
-{
-    out.resize(ch.windowSamples(window));
-    decompressWindowInto(ch, window, out);
-}
-
 std::size_t
 ICodec::decompressWindowInto(const CompressedChannel &ch,
                              std::size_t window, SampleSpan out) const

@@ -25,9 +25,7 @@
  * Streaming decode plane: the decode primitives are span-based —
  * encodeInto / decodeInto / decompressWindowInto operate on
  * caller-owned memory (SampleSpan) and perform no allocation in
- * steady state. The historical std::vector entry points remain as
- * thin shims over the span path; new codecs implement only the span
- * primitives.
+ * steady state. New codecs implement only these span primitives.
  */
 
 #ifndef COMPAQT_CORE_CODEC_HH
@@ -284,8 +282,8 @@ void equalizeChannels(CompressedChannel &a, CompressedChannel &b,
  *
  * Implementations provide the three span primitives (encodeInto,
  * decodeInto, and — for an O(windowSize) random-access path —
- * decompressWindowInto); the vector-based channel entry points are
- * non-virtual shims over them.
+ * decompressWindowInto); the waveform-level entry points are built
+ * on them.
  */
 class ICodec
 {
@@ -374,24 +372,9 @@ class ICodec
                       std::size_t first_window,
                       std::size_t window_count, SampleSpan out) const;
 
-    // ------------------------- vector shims over the span path
-
-    /** Shim: encodeInto with a std::span input. */
-    void
-    compressChannel(std::span<const double> x, double threshold,
-                    CompressedChannel &out) const
-    {
-        encodeInto(x, threshold, out);
-    }
-
-    /** Shim: size `out` to the channel and decodeInto it. */
+    /** Size `out` to the channel and decodeInto it. */
     void decompressChannel(const CompressedChannel &ch,
                            std::vector<double> &out) const;
-
-    /** Shim: size `out` to the window and decompressWindowInto it. */
-    void decompressWindow(const CompressedChannel &ch,
-                          std::size_t window,
-                          std::vector<double> &out) const;
 
     // --------------------------------------- waveform-level API
 

@@ -1,12 +1,11 @@
 #include "core/compressed_library.hh"
 
-#include <cstring>
+#include <algorithm>
 #include <istream>
-#include <iterator>
 #include <ostream>
 
 #include "common/logging.hh"
-#include "core/library_compiler.hh"
+#include "core/codec.hh"
 
 namespace compaqt::core
 {
@@ -15,27 +14,18 @@ namespace
 {
 
 constexpr std::uint32_t kMagic = 0x43505154; // "CPQT"
-// Version history:
-//   1 — codec stored as a uint8 of the old closed enum (still
-//       readable; mapped to registry names on load)
-//   2 — codec stored as its CodecRegistry name; load rejects names
-//       that are not registered in this process
-//   3 — delta payload lives inside each channel record (with its
-//       checkpoint side index) instead of two waveform-level fields;
-//       v1/v2 delta fields are migrated into the channels on load
-//   4 — each channel record carries its adaptive flat-top segment
-//       list (Section V-D): flat segments as (value, count) repeat
-//       codewords, ramp segments as nested plain channel records.
-//       v1-v3 channels load with no segments (plain representation)
-//   5 — a uint64 calibration version stamp follows the format
-//       version, recording which calibration epoch compiled the
-//       library (the runtime's hot-swap registry keys on it).
-//       v1-v4 streams load as version 0 (unstamped)
+// Format v5, the one this build writes and reads: a uint64
+// calibration version stamp, then per entry the codec's registry name
+// and two channel records, each carrying its delta payload (with the
+// checkpoint side index) and its adaptive flat-top segment list
+// (Section V-D). Streams of any other version are rejected.
 constexpr std::uint32_t kVersion = 5;
 
-/** Registry names of the closed v1 codec enum, in enum order. */
-constexpr const char *kV1CodecNames[] = {"delta", "dct-n", "dct-w",
-                                         "int-dct"};
+/** Elements one length field may add to a container before the bytes
+ *  behind them are read. A count the stream cannot back dies
+ *  "truncated" after at most one chunk instead of allocating what it
+ *  claims. */
+constexpr std::uint64_t kReadChunk = 4096;
 
 template <typename T>
 void
@@ -70,12 +60,15 @@ std::vector<T>
 readVector(std::istream &is)
 {
     const auto n = readPod<std::uint64_t>(is);
-    std::vector<T> v(n);
-    if (n > 0) {
-        is.read(reinterpret_cast<char *>(v.data()),
-                static_cast<std::streamsize>(n * sizeof(T)));
+    std::vector<T> v;
+    for (std::uint64_t done = 0; done < n;) {
+        const auto k = std::min(n - done, kReadChunk);
+        v.resize(done + k);
+        is.read(reinterpret_cast<char *>(v.data() + done),
+                static_cast<std::streamsize>(k * sizeof(T)));
         COMPAQT_REQUIRE(static_cast<bool>(is),
                         "truncated compressed library stream");
+        done += k;
     }
     return v;
 }
@@ -110,11 +103,12 @@ writeDelta(std::ostream &os, const dsp::DeltaEncoded &d)
     writePod<std::uint64_t>(os, d.originalCount);
     writePod<std::uint8_t>(os, d.hasZeroCrossing ? 1 : 0);
     writeVector(os, d.deltas);
+    writePod<std::uint64_t>(os, d.checkpointStride);
+    writeVector(os, d.checkpoints);
 }
 
-/** v1/v2 delta record: no checkpoint side index. */
 dsp::DeltaEncoded
-readDeltaLegacy(std::istream &is)
+readDelta(std::istream &is)
 {
     dsp::DeltaEncoded d;
     d.base = readPod<std::uint16_t>(is);
@@ -122,21 +116,6 @@ readDeltaLegacy(std::istream &is)
     d.originalCount = readPod<std::uint64_t>(is);
     d.hasZeroCrossing = readPod<std::uint8_t>(is) != 0;
     d.deltas = readVector<std::int32_t>(is);
-    return d;
-}
-
-void
-writeDeltaV3(std::ostream &os, const dsp::DeltaEncoded &d)
-{
-    writeDelta(os, d);
-    writePod<std::uint64_t>(os, d.checkpointStride);
-    writeVector(os, d.checkpoints);
-}
-
-dsp::DeltaEncoded
-readDeltaV3(std::istream &is)
-{
-    dsp::DeltaEncoded d = readDeltaLegacy(is);
     d.checkpointStride = readPod<std::uint64_t>(is);
     d.checkpoints = readVector<std::uint16_t>(is);
     return d;
@@ -153,15 +132,15 @@ writeChannelBody(std::ostream &os, const CompressedChannel &ch)
         writeVector(os, w.icoeffs);
         writePod<std::uint32_t>(os, w.zeros);
     }
-    writeDeltaV3(os, ch.delta);
+    writeDelta(os, ch.delta);
 }
 
 void
 writeChannel(std::ostream &os, const CompressedChannel &ch)
 {
     writeChannelBody(os, ch);
-    // v4 trailer: the adaptive segment list. Ramp sub-channels are
-    // plain by construction (one level of nesting only).
+    // The adaptive segment list. Ramp sub-channels are plain by
+    // construction (one level of nesting only).
     writePod<std::uint64_t>(os, ch.segments.size());
     for (const auto &seg : ch.segments) {
         writePod<std::uint8_t>(os, seg.isFlat ? 1 : 0);
@@ -174,36 +153,35 @@ writeChannel(std::ostream &os, const CompressedChannel &ch)
 }
 
 CompressedChannel
-readChannelBody(std::istream &is, std::uint32_t version)
+readChannelBody(std::istream &is)
 {
     CompressedChannel ch;
     ch.numSamples = readPod<std::uint64_t>(is);
     ch.windowSize = readPod<std::uint64_t>(is);
+    // Records grow the containers one at a time, so a count the
+    // stream cannot back dies "truncated" at its end.
     const auto count = readPod<std::uint64_t>(is);
-    ch.windows.resize(count);
-    for (auto &w : ch.windows) {
+    for (std::uint64_t n = 0; n < count; ++n) {
+        CompressedWindow &w = ch.windows.emplace_back();
         w.fcoeffs = readVector<double>(is);
         w.icoeffs = readVector<std::int32_t>(is);
         w.zeros = readPod<std::uint32_t>(is);
     }
-    if (version >= 3)
-        ch.delta = readDeltaV3(is);
+    ch.delta = readDelta(is);
     return ch;
 }
 
 CompressedChannel
-readChannel(std::istream &is, std::uint32_t version)
+readChannel(std::istream &is)
 {
-    CompressedChannel ch = readChannelBody(is, version);
-    if (version < 4)
-        return ch; // pre-adaptive formats: always plain
+    CompressedChannel ch = readChannelBody(is);
     const auto nsegs = readPod<std::uint64_t>(is);
-    ch.segments.resize(nsegs);
-    for (auto &seg : ch.segments) {
+    for (std::uint64_t n = 0; n < nsegs; ++n) {
+        AdaptiveSegment &seg = ch.segments.emplace_back();
         seg.isFlat = readPod<std::uint8_t>(is) != 0;
         seg.value = readPod<double>(is);
         seg.count = readPod<std::uint64_t>(is);
-        seg.windows = readChannelBody(is, version);
+        seg.windows = readChannelBody(is);
     }
     // Validate the segment structure the decode planes rely on — a
     // corrupt or hostile stream must die here, not as an out-of-
@@ -233,20 +211,6 @@ readChannel(std::istream &is, std::uint32_t version)
 }
 
 } // namespace
-
-CompressedLibrary
-CompressedLibrary::build(const waveform::PulseLibrary &lib,
-                         const FidelityAwareConfig &cfg)
-{
-    // The historical serial single-codec build: one worker, no
-    // per-channel planning. LibraryCompiler is the full compile
-    // plane (parallel fan-out + adaptive planning).
-    LibraryCompilerConfig c;
-    c.fidelity = cfg;
-    c.workers = 1;
-    c.planPerChannel = false;
-    return LibraryCompiler(c).compile(lib).library;
-}
 
 bool
 CompressedLibrary::contains(const waveform::GateId &id) const
@@ -331,13 +295,11 @@ CompressedLibrary::load(std::istream &is)
     COMPAQT_REQUIRE(readPod<std::uint32_t>(is) == kMagic,
                     "bad compressed library magic "
                     "(not a COMPAQT library stream)");
-    const auto version = readPod<std::uint32_t>(is);
-    COMPAQT_REQUIRE(version >= 1 && version <= kVersion,
+    COMPAQT_REQUIRE(readPod<std::uint32_t>(is) == kVersion,
                     "unsupported compressed library version "
-                    "(newer than this build understands)");
+                    "(this build reads format v5 only)");
     CompressedLibrary out;
-    if (version >= 5)
-        out.version_ = readPod<std::uint64_t>(is);
+    out.version_ = readPod<std::uint64_t>(is);
     const auto count = readPod<std::uint64_t>(is);
     for (std::uint64_t n = 0; n < count; ++n) {
         waveform::GateId id;
@@ -349,34 +311,13 @@ CompressedLibrary::load(std::istream &is)
         e.threshold = readPod<double>(is);
         e.mse = readPod<double>(is);
         e.converged = readPod<std::uint8_t>(is) != 0;
-        if (version == 1) {
-            const auto idx = readPod<std::uint8_t>(is);
-            COMPAQT_REQUIRE(idx < std::size(kV1CodecNames),
-                            "bad codec index in v1 library");
-            e.cw.codec = kV1CodecNames[idx];
-        } else {
-            e.cw.codec = readString(is);
-        }
+        e.cw.codec = readString(is);
         COMPAQT_REQUIRE(CodecRegistry::instance().contains(e.cw.codec),
                         "compressed library names a codec that is not "
                         "registered in this process");
         e.cw.windowSize = readPod<std::uint64_t>(is);
-        e.cw.i = readChannel(is, version);
-        e.cw.q = readChannel(is, version);
-        if (version < 3) {
-            // v1/v2 carried the delta payload as two waveform-level
-            // trailer fields; migrate them into the channels (old
-            // delta entries stored empty channels, so numSamples is
-            // recovered from the payload).
-            e.cw.i.delta = readDeltaLegacy(is);
-            e.cw.q.delta = readDeltaLegacy(is);
-            if (e.cw.i.delta.originalCount > 0 &&
-                e.cw.i.numSamples == 0)
-                e.cw.i.numSamples = e.cw.i.delta.originalCount;
-            if (e.cw.q.delta.originalCount > 0 &&
-                e.cw.q.numSamples == 0)
-                e.cw.q.numSamples = e.cw.q.delta.originalCount;
-        }
+        e.cw.i = readChannel(is);
+        e.cw.q = readChannel(is);
         out.entries_[id] = std::move(e);
     }
     return out;

@@ -34,22 +34,13 @@ struct CompressedEntry
 };
 
 /**
- * A device's full compressed waveform library.
+ * A device's full compressed waveform library. core::LibraryCompiler
+ * builds one; the runtime owns it as a shared_ptr published through
+ * runtime::LibraryRegistry.
  */
 class CompressedLibrary
 {
   public:
-    /**
-     * Compress every waveform of a pulse library with per-gate
-     * fidelity-aware thresholding — the historical serial,
-     * single-codec entry point. The full compile plane (parallel
-     * gate fan-out, per-channel adaptive planning) is
-     * core::LibraryCompiler; this forwards to it with one worker and
-     * planning off.
-     */
-    static CompressedLibrary build(const waveform::PulseLibrary &lib,
-                                   const FidelityAwareConfig &cfg);
-
     std::size_t size() const { return entries_.size(); }
 
     bool contains(const waveform::GateId &id) const;
@@ -94,13 +85,12 @@ class CompressedLibrary
     void setVersion(std::uint64_t v) { version_ = v; }
 
     /** Serialize to a binary stream (format v5: the calibration
-     *  version stamp precedes the v4 per-entry records). */
+     *  version stamp, then the per-entry records). */
     void save(std::ostream &os) const;
 
-    /** Deserialize; exact inverse of save(). Streams written by
-     *  older builds (v1-v4) load too and migrate in place: legacy
-     *  delta trailers move into the channels, pre-adaptive channels
-     *  load as plain, pre-stamp libraries load as version 0. */
+    /** Deserialize; exact inverse of save(). Reads format v5 only;
+     *  any other version, a bad magic, an unregistered codec name or
+     *  a stream shorter than its length fields claim dies loudly. */
     static CompressedLibrary load(std::istream &is);
 
     /** Insert or replace an entry (for custom pulses). */

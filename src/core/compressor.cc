@@ -38,7 +38,7 @@ void
 Compressor::compressChannel(std::span<const double> x,
                             CompressedChannel &out) const
 {
-    codec_->compressChannel(x, cfg_.threshold, out);
+    codec_->encodeInto(x, cfg_.threshold, out);
 }
 
 } // namespace compaqt::core

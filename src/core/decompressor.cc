@@ -30,24 +30,6 @@ Decompressor::expandWindowFloatInto(const CompressedWindow &w,
     dsp::simd::fillDoubles(out.data() + w.fcoeffs.size(), w.zeros, 0.0);
 }
 
-std::vector<std::int32_t>
-Decompressor::expandWindowInt(const CompressedWindow &w,
-                              std::size_t window_size)
-{
-    std::vector<std::int32_t> out(window_size);
-    expandWindowIntInto(w, out);
-    return out;
-}
-
-std::vector<double>
-Decompressor::expandWindowFloat(const CompressedWindow &w,
-                                std::size_t window_size)
-{
-    std::vector<double> out(window_size);
-    expandWindowFloatInto(w, out);
-    return out;
-}
-
 namespace
 {
 
@@ -240,15 +222,6 @@ Decompressor::decodeWindowsInto(const CompressedChannel &ch,
             }
         });
     return written;
-}
-
-void
-Decompressor::decompressWindow(const CompressedChannel &ch,
-                               std::string_view codec_name,
-                               std::size_t window,
-                               std::vector<double> &out) const
-{
-    codec(codec_name, ch.windowSize).decompressWindow(ch, window, out);
 }
 
 waveform::IqWaveform

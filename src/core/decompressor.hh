@@ -9,9 +9,8 @@
  * CompressedWaveform carries, so any registered codec decodes here
  * without changes. The span entry points (decodeChannelInto,
  * decompressWindowInto, the expandWindow*Into RLE primitives) write
- * into caller-owned memory and allocate nothing in steady state; the
- * vector overloads remain as shims for callers that want owned
- * output.
+ * into caller-owned memory and allocate nothing in steady state;
+ * decompress() and decompressChannel() return owned output.
  */
 
 #ifndef COMPAQT_CORE_DECOMPRESSOR_HH
@@ -83,11 +82,6 @@ class Decompressor
                                      std::size_t window,
                                      SampleSpan out) const;
 
-    /** Vector shim over decompressWindowInto(). */
-    void decompressWindow(const CompressedChannel &ch,
-                          std::string_view codec, std::size_t window,
-                          std::vector<double> &out) const;
-
     /**
      * Batch-of-windows decode — the registry-dispatched face of
      * ICodec::decodeWindowsInto, and the entry every batching caller
@@ -133,15 +127,6 @@ class Decompressor
     /** Float-path window expansion into caller memory. */
     static void expandWindowFloatInto(const CompressedWindow &w,
                                       SampleSpan out);
-
-    /** Allocating shim over expandWindowIntInto(). */
-    static std::vector<std::int32_t>
-    expandWindowInt(const CompressedWindow &w, std::size_t window_size);
-
-    /** Allocating shim over expandWindowFloatInto(). */
-    static std::vector<double>
-    expandWindowFloat(const CompressedWindow &w,
-                      std::size_t window_size);
 
   private:
     static const ICodec &codec(std::string_view name, std::size_t ws);

@@ -2,7 +2,7 @@
  * @file
  * The compression pipeline facade: one configured object covering the
  * scattered entry points of the core layer (Compressor, Decompressor,
- * compressFidelityAware, CompressedLibrary::build) behind a builder:
+ * compressFidelityAware, LibraryCompiler) behind a builder:
  *
  *     auto pipe = core::CompressionPipeline::with("int-dct")
  *                     .window(16)

@@ -1,6 +1,7 @@
 #include "runtime/library_registry.hh"
 
-#include "common/logging.hh"
+#include <stdexcept>
+
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 
@@ -44,8 +45,9 @@ std::uint64_t
 LibraryRegistry::publish(
     std::shared_ptr<const core::CompressedLibrary> lib)
 {
-    COMPAQT_REQUIRE(lib != nullptr,
-                    "LibraryRegistry: cannot publish a null library");
+    if (!lib)
+        throw std::invalid_argument(
+            "LibraryRegistry: cannot publish a null library");
     auto &metrics = RegistryMetrics::instance();
     std::uint64_t version = 0;
     std::size_t live = 0;

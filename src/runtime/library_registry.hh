@@ -81,7 +81,8 @@ class LibraryRegistry
   public:
     LibraryRegistry() = default;
 
-    /** Construct with an initial version already published. */
+    /** Construct with an initial version already published.
+     *  @throws std::invalid_argument when `initial` is null */
     explicit LibraryRegistry(
         std::shared_ptr<const core::CompressedLibrary> initial);
 
@@ -93,6 +94,8 @@ class LibraryRegistry
      * registry assigns last + 1. Never blocks on in-flight work — the
      * previous version retires to weak observation and releases when
      * its last pin drops.
+     * @throws std::invalid_argument when `lib` is null (nothing is
+     *         published)
      */
     std::uint64_t
     publish(std::shared_ptr<const core::CompressedLibrary> lib);

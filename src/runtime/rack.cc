@@ -108,19 +108,6 @@ makeShardPlan(const waveform::DeviceModel &dev, int num_shards,
 }
 
 Rack::Rack(const waveform::DeviceModel &dev,
-           const core::CompressedLibrary &lib, const RackConfig &cfg)
-    // Non-owning alias epoch: the caller owns the library's lifetime
-    // (documented contract of this constructor).
-    : Rack(dev,
-           std::make_shared<LibraryRegistry>(
-               std::shared_ptr<const core::CompressedLibrary>(
-                   std::shared_ptr<const core::CompressedLibrary>{},
-                   &lib)),
-           cfg)
-{
-}
-
-Rack::Rack(const waveform::DeviceModel &dev,
            std::shared_ptr<const core::CompressedLibrary> lib,
            const RackConfig &cfg)
     : Rack(dev, std::make_shared<LibraryRegistry>(std::move(lib)),

@@ -5,8 +5,8 @@
  * machines are actually driven — a fleet of per-channel engines
  * behind a shared scheduler (Khammassi et al., arXiv:2205.06851;
  * Hornibrook et al., arXiv:1409.2202). The rack owns the qubit->shard
- * plan, the per-shard controllers bound to one shared compressed
- * library, and the rack's waveform-memory model.
+ * plan, the per-shard controllers, the registry that owns the
+ * shared compressed library, and the rack's waveform-memory model.
  */
 
 #ifndef COMPAQT_RUNTIME_RACK_HH
@@ -108,18 +108,10 @@ class Rack
 {
   public:
     /**
-     * Borrowed-library form (the historical constructor): the caller
-     * must keep `lib` alive for the rack's whole lifetime. Internally
-     * the library is wrapped in a non-owning registry epoch, so
-     * swapLibrary() works on this form too (later epochs are owned).
-     * @throws std::invalid_argument when the library violates the
-     *         controller contract (propagated from uarch::Controller)
-     *         or num_shards < 1
+     * Own `lib` through a registry of this rack's own.
+     * @throws std::invalid_argument when `lib` is null, violates the
+     *         controller contract, or num_shards < 1
      */
-    Rack(const waveform::DeviceModel &dev,
-         const core::CompressedLibrary &lib, const RackConfig &cfg);
-
-    /** Shared-ownership form: no lifetime contract on the caller. */
     Rack(const waveform::DeviceModel &dev,
          std::shared_ptr<const core::CompressedLibrary> lib,
          const RackConfig &cfg);
@@ -127,9 +119,9 @@ class Rack
     /**
      * Fleet form: attach to an existing registry (shared by every
      * rack of the fleet, so one publish recalibrates all of them).
-     * @throws std::invalid_argument when the registry holds no
-     *         current library or its current library violates the
-     *         controller contract
+     * @throws std::invalid_argument when the registry is null, holds
+     *         no current library, or its current library violates
+     *         the controller contract
      */
     Rack(const waveform::DeviceModel &dev,
          std::shared_ptr<LibraryRegistry> registry,

@@ -293,8 +293,8 @@ class Server
      * Builds cfg.racks identical racks over `lib` (shared ownership)
      * and one shared LibraryRegistry, then starts one dispatcher per
      * rack.
-     * @throws std::invalid_argument when the library violates the
-     *         controller contract
+     * @throws std::invalid_argument when the library is null or
+     *         violates the controller contract
      */
     Server(const waveform::DeviceModel &dev,
            std::shared_ptr<const core::CompressedLibrary> lib,

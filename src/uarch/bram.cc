@@ -45,14 +45,6 @@ BankedWaveform::fetchWindowInto(std::size_t w,
     return n;
 }
 
-std::vector<Word>
-BankedWaveform::fetchWindow(std::size_t w) const
-{
-    std::vector<Word> out(width_);
-    out.resize(fetchWindowInto(w, out));
-    return out;
-}
-
 std::size_t
 BankedWaveform::storedWords() const
 {

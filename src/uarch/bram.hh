@@ -53,10 +53,7 @@ class BankedWaveform
     std::size_t fetchWindowInto(std::size_t w,
                                 std::span<Word> out) const;
 
-    /** Allocating shim over fetchWindowInto(). */
-    std::vector<Word> fetchWindow(std::size_t w) const;
-
-    /** Total accesses performed by fetchWindow so far. */
+    /** Total accesses performed by fetchWindowInto so far. */
     std::uint64_t accesses() const { return accesses_; }
 
     /** Occupied storage in words (capacity accounting). */

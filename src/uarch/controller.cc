@@ -22,26 +22,6 @@ rejectLibrary(const std::string &why)
 
 } // namespace
 
-Controller::Controller(const ControllerConfig &cfg,
-                       const core::CompressedLibrary &lib)
-    // Non-owning alias: an empty control block around the caller's
-    // object. The caller owns the lifetime (documented contract).
-    : cfg_(cfg),
-      lib_(std::shared_ptr<const core::CompressedLibrary>{}, &lib)
-{
-    validateLibrary(cfg_, lib);
-}
-
-Controller::Controller(
-    const ControllerConfig &cfg,
-    std::shared_ptr<const core::CompressedLibrary> lib)
-    : cfg_(cfg), lib_(std::move(lib))
-{
-    if (!lib_)
-        rejectLibrary("bound constructor requires a library");
-    validateLibrary(cfg_, *lib_);
-}
-
 void
 Controller::validateLibrary(const ControllerConfig &cfg,
                             const core::CompressedLibrary &lib)
@@ -100,38 +80,17 @@ Controller::maxConcurrentQubits() const
 }
 
 StreamStats
-Controller::playEntryInto(const core::CompressedEntry &e,
-                          std::span<std::int32_t> out)
+Controller::playGateInto(const core::CompressedLibrary &lib,
+                         const waveform::GateId &id,
+                         std::span<std::int32_t> out) const
 {
     COMPAQT_REQUIRE(cfg_.compressed,
-                    "playGate models the compressed datapath");
+                    "playGateInto models the compressed datapath");
     DecompressionPipeline pipe(EngineKind::IntDctW, cfg_.windowSize,
                                cfg_.memoryWidth);
     // streamAdaptiveInto degrades to load() + streamInto() for plain
     // channels, so one call covers both library representations.
-    return pipe.streamAdaptiveInto(e.cw.i, out);
-}
-
-StreamStats
-Controller::playGateInto(const waveform::GateId &id,
-                         std::span<std::int32_t> out)
-{
-    COMPAQT_REQUIRE(lib_ != nullptr,
-                    "playGateInto needs a bound library");
-    return playEntryInto(lib_->entry(id), out);
-}
-
-StreamResult
-Controller::playGate(const waveform::GateId &id)
-{
-    COMPAQT_REQUIRE(lib_ != nullptr,
-                    "playGate needs a bound library");
-    const core::CompressedEntry &e = lib_->entry(id);
-    StreamResult r;
-    r.samples.resize(e.cw.i.numWindows() * cfg_.windowSize);
-    r.stats = playEntryInto(e, r.samples);
-    r.samples.resize(e.cw.i.numSamples);
-    return r;
+    return pipe.streamAdaptiveInto(lib.entry(id).cw.i, out);
 }
 
 std::optional<waveform::GateId>
@@ -152,15 +111,6 @@ gateIdFor(const circuits::Gate &g)
       default:
         return std::nullopt;
     }
-}
-
-ExecutionStats
-Controller::execute(const circuits::Schedule &sched) const
-{
-    COMPAQT_REQUIRE(lib_ != nullptr,
-                    "execute needs a bound library (or pass one"
-                    " explicitly)");
-    return execute(sched, *lib_);
 }
 
 ExecutionStats

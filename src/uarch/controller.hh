@@ -10,7 +10,6 @@
 #define COMPAQT_UARCH_CONTROLLER_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 
@@ -71,60 +70,29 @@ struct ExecutionStats
 };
 
 /**
- * A controller, optionally bound to one device's (compressed) pulse
- * library. The bound forms keep the historical single-library shape;
- * the unbound form is what a hot-swapping rack uses — it passes the
- * epoch-pinned library explicitly per execute() so a controller never
- * extends a retired calibration's lifetime.
+ * A controller: the bank-budget accounting and playback of one
+ * RFSoC. It never holds a library; every call that needs one takes
+ * it, so a hot-swapping rack passes its epoch-pinned library and a
+ * controller never extends a retired calibration's lifetime.
  */
 class Controller
 {
   public:
-    /**
-     * Library-less controller: capacity/bank accounting work, but
-     * every schedule execution and playback call must pass the
-     * library explicitly. Pair with validateLibrary() to enforce the
-     * library contract up front.
-     */
     explicit Controller(const ControllerConfig &cfg) : cfg_(cfg) {}
 
     /**
-     * Bound to a borrowed library — the caller must keep `lib` alive
-     * for the controller's whole lifetime (the historical form, kept
-     * for single-library tools and tests; lifetime is NOT tracked).
-     * @param lib compressed library; must use the integer codec with
-     *        the config's window size when compressed mode is on
+     * The library contract, checked once per library (a rack runs it
+     * at construction and at every hot-swap publish).
      * @throws std::invalid_argument when compressed mode is on and
      *         the library does not match the config: a codec other
      *         than the hardware int-DCT, a window size differing from
      *         cfg.windowSize, or windows wider than cfg.memoryWidth.
-     *         A mismatched library would silently mis-stream, so the
-     *         contract is enforced loudly at construction.
-     */
-    Controller(const ControllerConfig &cfg,
-               const core::CompressedLibrary &lib);
-
-    /** Bound with shared ownership: the controller keeps the library
-     *  alive itself — no lifetime contract on the caller. Validates
-     *  like the borrowed form. */
-    Controller(const ControllerConfig &cfg,
-               std::shared_ptr<const core::CompressedLibrary> lib);
-
-    /**
-     * The library-contract check the bound constructors run, callable
-     * standalone: a rack validates each candidate library against its
-     * controller config once (at construction and at every hot-swap
-     * publish) instead of per controller copy.
-     * @throws std::invalid_argument on a contract violation (see the
-     *         bound constructor)
+     *         A mismatched library would silently mis-stream.
      */
     static void validateLibrary(const ControllerConfig &cfg,
                                 const core::CompressedLibrary &lib);
 
     const ControllerConfig &config() const { return cfg_; }
-
-    /** True when a library is bound (either bound constructor). */
-    bool bound() const { return lib_ != nullptr; }
 
     /** Banks one channel occupies (Section V-C interleaving). */
     std::size_t banksPerChannel() const;
@@ -136,19 +104,17 @@ class Controller
      * Stream one gate's I channel through the decompression pipeline
      * into caller-owned memory (compressed mode). Samples are
      * bit-exact with the software decoder.
-     * @pre a library is bound (bound())
      * @pre out.size() >= numWindows * windowSize of the gate's I
-     *      channel (use playGate() when the size is not known)
+     *      channel in `lib`
      */
-    StreamStats playGateInto(const waveform::GateId &id,
-                             std::span<std::int32_t> out);
-
-    /** Allocating shim over playGateInto(). @pre bound() */
-    StreamResult playGate(const waveform::GateId &id);
+    StreamStats playGateInto(const core::CompressedLibrary &lib,
+                             const waveform::GateId &id,
+                             std::span<std::int32_t> out) const;
 
     /**
-     * Execute a scheduled circuit: sweep event boundaries, account
-     * bank demand and bandwidth, and verify the budget.
+     * Execute a scheduled circuit against `lib`: sweep event
+     * boundaries, account bank demand and bandwidth, and verify the
+     * budget.
      *
      * This is the stats-only fast path: no samples are produced, no
      * controller state is mutated, and the method is safe to call
@@ -157,25 +123,12 @@ class Controller
      * gates absent from the library are counted in
      * ExecutionStats::missingGates and skipped, and an exceeded bank
      * budget reports feasible = false with the demand that broke it.
-     * @pre a library is bound (bound())
      */
-    ExecutionStats execute(const circuits::Schedule &sched) const;
-
-    /** execute() against an explicit (epoch-pinned) library — the
-     *  hot-swap path's form, valid on unbound controllers. */
     ExecutionStats execute(const circuits::Schedule &sched,
                            const core::CompressedLibrary &lib) const;
 
   private:
-    /** The shared playback body: one pipeline over the entry's I
-     *  channel, streamed into caller memory. */
-    StreamStats playEntryInto(const core::CompressedEntry &e,
-                              std::span<std::int32_t> out);
-
     ControllerConfig cfg_;
-    /** Bound library, or null for the unbound form. The borrowed
-     *  constructor stores a non-owning alias (empty control block). */
-    std::shared_ptr<const core::CompressedLibrary> lib_;
 };
 
 /** Map a scheduled event's gate to the waveform it plays (nullopt for

@@ -62,12 +62,4 @@ IdctEngine::transformBatchInto(std::span<const std::int32_t> coeffs,
                       out.subspan(w * ws_, ws_));
 }
 
-std::vector<std::int32_t>
-IdctEngine::transform(const std::vector<std::int32_t> &coeffs)
-{
-    std::vector<std::int32_t> out(ws_);
-    transformInto(coeffs, out);
-    return out;
-}
-
 } // namespace compaqt::uarch

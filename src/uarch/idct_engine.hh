@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "dsp/int_dct.hh"
 
@@ -67,10 +66,6 @@ class IdctEngine
     void transformBatchInto(std::span<const std::int32_t> coeffs,
                             std::span<std::int32_t> out,
                             std::size_t nwin);
-
-    /** Allocating shim over transformInto(). */
-    std::vector<std::int32_t>
-    transform(const std::vector<std::int32_t> &coeffs);
 
     /** Windows transformed. */
     std::uint64_t invocations() const { return invocations_; }

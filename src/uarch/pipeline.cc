@@ -90,16 +90,6 @@ DecompressionPipeline::streamInto(std::span<std::int32_t> out)
     return stats;
 }
 
-StreamResult
-DecompressionPipeline::stream()
-{
-    StreamResult r;
-    r.samples.resize(memory_.numWindows() * ws_);
-    r.stats = streamInto(r.samples);
-    r.samples.resize(loadedSamples_);
-    return r;
-}
-
 StreamStats
 DecompressionPipeline::streamAdaptiveInto(
     const core::CompressedChannel &ch, std::span<std::int32_t> out)
@@ -154,16 +144,6 @@ DecompressionPipeline::streamAdaptiveInto(
     stats.cycles = cycles;
     stats.samplesOut = ch.numSamples;
     return stats;
-}
-
-StreamResult
-DecompressionPipeline::streamAdaptive(const core::CompressedChannel &ch)
-{
-    StreamResult r;
-    r.samples.resize(ch.numWindows() * ws_);
-    r.stats = streamAdaptiveInto(ch, r.samples);
-    r.samples.resize(ch.numSamples);
-    return r;
 }
 
 } // namespace compaqt::uarch

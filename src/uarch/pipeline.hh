@@ -50,13 +50,6 @@ struct StreamStats
     }
 };
 
-/** Result of streaming: the decoded samples plus statistics. */
-struct StreamResult
-{
-    std::vector<std::int32_t> samples;
-    StreamStats stats;
-};
-
 /**
  * One per-channel decompression pipeline instance.
  */
@@ -96,9 +89,6 @@ class DecompressionPipeline
      */
     StreamStats streamInto(std::span<std::int32_t> out);
 
-    /** Allocating shim over streamInto(). */
-    StreamResult stream();
-
     /**
      * Stream a channel that may carry the adaptive flat-top
      * representation into caller-owned memory: ramp segments load
@@ -112,9 +102,6 @@ class DecompressionPipeline
      */
     StreamStats streamAdaptiveInto(const core::CompressedChannel &ch,
                                    std::span<std::int32_t> out);
-
-    /** Allocating shim over streamAdaptiveInto(). */
-    StreamResult streamAdaptive(const core::CompressedChannel &ch);
 
     const IdctEngine &engine() const { return engine_; }
 

@@ -43,12 +43,4 @@ RleDecoder::decodeInto(std::span<const Word> words,
     ++cycles_;
 }
 
-std::vector<std::int32_t>
-RleDecoder::decode(const std::vector<Word> &words)
-{
-    std::vector<std::int32_t> out(windowSize_);
-    decodeInto(words, out);
-    return out;
-}
-
 } // namespace compaqt::uarch

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "uarch/bram.hh"
 
@@ -38,9 +37,6 @@ class RleDecoder
      */
     void decodeInto(std::span<const Word> words,
                     std::span<std::int32_t> out);
-
-    /** Allocating shim over decodeInto(). */
-    std::vector<std::int32_t> decode(const std::vector<Word> &words);
 
     /** Windows decoded (== cycles spent in this stage). */
     std::uint64_t cycles() const { return cycles_; }

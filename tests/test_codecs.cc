@@ -229,7 +229,7 @@ class SpanPathEquivalence
  * size x pulse shape (trimmed to an odd length so every windowed
  * config has a clamped tail window), the span-based decode plane —
  * decodeInto and per-window decompressWindowInto — must be
- * bit-identical to the legacy vector path.
+ * bit-identical to the owned-output decompressChannel.
  */
 TEST_P(SpanPathEquivalence, SpanDecodeBitIdenticalToVectorPath)
 {
@@ -266,22 +266,14 @@ TEST_P(SpanPathEquivalence, SpanDecodeBitIdenticalToVectorPath)
                 continue;
             std::vector<double> assembled;
             std::vector<double> win(ch->windowSize, -7.0);
-            std::vector<double> legacy;
             for (std::size_t w = 0; w < ch->numWindows(); ++w) {
                 const std::size_t n =
                     codec->decompressWindowInto(*ch, w, win);
-                ASSERT_EQ(n, ch->windowSamples(w));
+                ASSERT_EQ(n, ch->windowSamples(w))
+                    << codec_name << " ws=" << ws << " w=" << w;
                 assembled.insert(
                     assembled.end(), win.begin(),
                     win.begin() + static_cast<std::ptrdiff_t>(n));
-                // The vector shim agrees with the span primitive.
-                codec->decompressWindow(*ch, w, legacy);
-                ASSERT_EQ(legacy,
-                          std::vector<double>(
-                              win.begin(),
-                              win.begin() +
-                                  static_cast<std::ptrdiff_t>(n)))
-                    << codec_name << " ws=" << ws << " w=" << w;
             }
             ASSERT_EQ(assembled, golden)
                 << codec_name << " ws=" << ws << " " << shape.name;
@@ -546,14 +538,18 @@ TEST(CompressionPipeline, RejectsWaveformFromOtherCodec)
                  "different codec");
 }
 
-TEST(CompressionPipeline, TargetModeLibraryMatchesBuild)
+TEST(CompressionPipeline, TargetModeLibraryMatchesSerialCompile)
 {
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     FidelityAwareConfig cfg;
     cfg.base.codec = "int-dct";
     cfg.base.windowSize = 16;
-    const auto built = CompressedLibrary::build(lib, cfg);
+    const auto built = LibraryCompiler({.fidelity = cfg,
+                                        .workers = 1,
+                                        .planPerChannel = false})
+                           .compile(lib)
+                           .library;
     const auto piped = CompressionPipeline::with("int-dct")
                            .window(16)
                            .mseTarget(cfg.targetMse)
@@ -621,10 +617,14 @@ TEST(CodecExtensibility, CustomCodecWorksThroughEveryEntryPoint)
     EXPECT_EQ(rt.i, wf.i);
     EXPECT_EQ(rt.q, wf.q);
 
-    // CompressedLibrary::build + save/load round trip.
+    // LibraryCompiler + save/load round trip.
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = CompressedLibrary::build(lib, cfg);
+    const auto clib = LibraryCompiler({.fidelity = cfg,
+                                       .workers = 1,
+                                       .planPerChannel = false})
+                          .compile(lib)
+                          .library;
     EXPECT_EQ(clib.size(), lib.size());
     std::stringstream ss;
     clib.save(ss);
@@ -645,51 +645,18 @@ TEST(SerializationHeader, RejectsWrongMagic)
 
 TEST(SerializationHeader, RejectsWrongVersion)
 {
-    // Correct magic ("CPQT" little-endian), bogus version.
+    // Correct magic ("CPQT" little-endian), then every version but
+    // v5: the older formats and one from the future.
     const std::uint32_t magic = 0x43505154;
-    const std::uint32_t version = 99;
-    std::stringstream ss;
-    ss.write(reinterpret_cast<const char *>(&magic), sizeof(magic));
-    ss.write(reinterpret_cast<const char *>(&version),
-             sizeof(version));
-    EXPECT_DEATH({ auto l = CompressedLibrary::load(ss); }, "version");
-}
-
-TEST(SerializationHeader, ReadsVersion1EnumCodedLibraries)
-{
-    // Hand-assemble a minimal v1 stream: one empty int-DCT-W entry
-    // with the codec stored as the old enum byte (3 == IntDctW).
-    std::stringstream ss;
-    auto put = [&](const auto &v) {
-        ss.write(reinterpret_cast<const char *>(&v), sizeof(v));
-    };
-    put(std::uint32_t{0x43505154}); // magic "CPQT"
-    put(std::uint32_t{1});          // version
-    put(std::uint64_t{1});          // entry count
-    put(std::uint8_t{0});           // GateType::X
-    put(std::int32_t{0});           // q0
-    put(std::int32_t{-1});          // q1
-    put(double{1e-3});              // threshold
-    put(double{0.0});               // mse
-    put(std::uint8_t{1});           // converged
-    put(std::uint8_t{3});           // v1 enum byte 3 = int-DCT-W
-    put(std::uint64_t{16});         // windowSize
-    for (int ch = 0; ch < 2; ++ch) {
-        put(std::uint64_t{0});  // numSamples
-        put(std::uint64_t{16}); // windowSize
-        put(std::uint64_t{0});  // window count
+    for (const std::uint32_t version : {1u, 2u, 3u, 4u, 99u}) {
+        std::stringstream ss;
+        ss.write(reinterpret_cast<const char *>(&magic), sizeof(magic));
+        ss.write(reinterpret_cast<const char *>(&version),
+                 sizeof(version));
+        EXPECT_DEATH({ auto l = CompressedLibrary::load(ss); },
+                     "version")
+            << "version " << version;
     }
-    for (int d = 0; d < 2; ++d) {
-        put(std::uint16_t{0}); // base
-        put(std::int32_t{0});  // deltaWidth
-        put(std::uint64_t{0}); // originalCount
-        put(std::uint8_t{0});  // hasZeroCrossing
-        put(std::uint64_t{0}); // delta count
-    }
-    const auto lib = CompressedLibrary::load(ss);
-    ASSERT_EQ(lib.size(), 1u);
-    EXPECT_EQ(lib.entry({waveform::GateType::X, 0, -1}).cw.codec,
-              "int-dct");
 }
 
 TEST(SerializationHeader, RejectsUnregisteredCodecName)
@@ -712,7 +679,11 @@ TEST(SerializationHeader, RejectsTruncatedStream)
     FidelityAwareConfig cfg;
     cfg.base.codec = "int-dct";
     cfg.base.windowSize = 16;
-    const auto clib = CompressedLibrary::build(lib, cfg);
+    const auto clib = LibraryCompiler({.fidelity = cfg,
+                                       .workers = 1,
+                                       .planPerChannel = false})
+                          .compile(lib)
+                          .library;
     std::stringstream full;
     clib.save(full);
     const std::string bytes = full.str();

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/adaptive.hh"
@@ -165,7 +166,8 @@ TEST(Decompressor, ExpandWindowReconstructsLayout)
     CompressedWindow w;
     w.icoeffs = {100, -50};
     w.zeros = 14;
-    const auto full = Decompressor::expandWindowInt(w, 16);
+    std::vector<std::int32_t> full(16, -1);
+    Decompressor::expandWindowIntInto(w, full);
     ASSERT_EQ(full.size(), 16u);
     EXPECT_EQ(full[0], 100);
     EXPECT_EQ(full[1], -50);
@@ -400,7 +402,11 @@ TEST(CompressedLibrary, BuildCoversAllGates)
     FidelityAwareConfig cfg;
     cfg.base.codec = "int-dct";
     cfg.base.windowSize = 16;
-    const auto clib = CompressedLibrary::build(lib, cfg);
+    const auto clib = LibraryCompiler({.fidelity = cfg,
+                                       .workers = 1,
+                                       .planPerChannel = false})
+                          .compile(lib)
+                          .library;
     EXPECT_EQ(clib.size(), lib.size());
     for (const auto &[id, wf] : lib.entries()) {
         ASSERT_TRUE(clib.contains(id));
@@ -417,7 +423,11 @@ TEST(CompressedLibrary, PaperOperatingPoint)
     FidelityAwareConfig cfg;
     cfg.base.codec = "int-dct";
     cfg.base.windowSize = 16;
-    const auto clib = CompressedLibrary::build(lib, cfg);
+    const auto clib = LibraryCompiler({.fidelity = cfg,
+                                       .workers = 1,
+                                       .planPerChannel = false})
+                          .compile(lib)
+                          .library;
     EXPECT_LE(clib.worstCaseWindowWords(), 3u);
     const auto rs = clib.ratios();
     const double min_r = *std::min_element(rs.begin(), rs.end());
@@ -434,7 +444,11 @@ TEST(CompressedLibrary, SerializationRoundTrips)
     FidelityAwareConfig cfg;
     cfg.base.codec = "int-dct";
     cfg.base.windowSize = 16;
-    auto clib = CompressedLibrary::build(lib, cfg);
+    auto clib = LibraryCompiler({.fidelity = cfg,
+                                 .workers = 1,
+                                 .planPerChannel = false})
+                    .compile(lib)
+                    .library;
     // The calibration-epoch stamp rides the container format (v5+).
     clib.setVersion(42);
 
@@ -603,9 +617,9 @@ TEST(LibraryCompiler, PlannedLibrarySerializationRoundTrips)
     }
 }
 
-// ------------------------------------- golden-bytes format migration
+// ------------------------------------------------ format v5 streams
 
-/** Byte-level writers replicating the historical v1-v3 encoders. */
+/** Byte-level writers of the v5 container. */
 template <typename T>
 void
 put(std::string &s, T v)
@@ -623,37 +637,18 @@ putVector(std::string &s, const std::vector<T> &v)
                  v.size() * sizeof(T));
 }
 
+/** Magic, format version, calibration stamp and entry count. */
 void
-putLegacyDelta(std::string &s, std::uint16_t base,
-               std::int32_t width, std::uint64_t count,
-               const std::vector<std::int32_t> &deltas)
+putHeader(std::string &s, std::uint64_t entries)
 {
-    put<std::uint16_t>(s, base);
-    put<std::int32_t>(s, width);
-    put<std::uint64_t>(s, count);
-    put<std::uint8_t>(s, 0); // hasZeroCrossing
-    putVector(s, deltas);
+    put<std::uint32_t>(s, 0x43505154); // "CPQT"
+    put<std::uint32_t>(s, 5);
+    put<std::uint64_t>(s, 0); // calibration version stamp
+    put<std::uint64_t>(s, entries);
 }
 
-/** A plain one-window int-dct channel body as v1-v3 wrote it. */
-void
-putIntChannel(std::string &s, std::uint64_t num_samples,
-              const std::vector<std::int32_t> &icoeffs,
-              std::uint32_t zeros, bool with_v3_delta)
-{
-    put<std::uint64_t>(s, num_samples);
-    put<std::uint64_t>(s, 4); // windowSize
-    put<std::uint64_t>(s, 1); // one window
-    putVector<double>(s, {}); // fcoeffs
-    putVector(s, icoeffs);
-    put<std::uint32_t>(s, zeros);
-    if (with_v3_delta) {
-        putLegacyDelta(s, 0, 0, 0, {});
-        put<std::uint64_t>(s, 0);   // checkpointStride
-        putVector<std::uint16_t>(s, {}); // checkpoints
-    }
-}
-
+/** Gate id, Algorithm-1 results, codec name and window size of one
+ *  int-dct entry. */
 void
 putEntryHeader(std::string &s, std::uint8_t gate_type,
                std::int32_t q0, std::int32_t q1, double threshold,
@@ -665,169 +660,37 @@ putEntryHeader(std::string &s, std::uint8_t gate_type,
     put<double>(s, threshold);
     put<double>(s, mse);
     put<std::uint8_t>(s, 1); // converged
-}
-
-constexpr std::uint32_t kGoldenMagic = 0x43505154;
-
-/** Field-level equality of two libraries (CompressedChannel has no
- *  operator==; compare what serialization preserves). */
-void
-expectSameLibrary(const CompressedLibrary &a,
-                  const CompressedLibrary &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    auto ia = a.entries().begin();
-    for (const auto &[id, eb] : b.entries()) {
-        const auto &[ida, ea] = *ia++;
-        EXPECT_EQ(ida, id);
-        EXPECT_DOUBLE_EQ(ea.threshold, eb.threshold);
-        EXPECT_DOUBLE_EQ(ea.mse, eb.mse);
-        EXPECT_EQ(ea.cw.codec, eb.cw.codec);
-        EXPECT_EQ(ea.cw.windowSize, eb.cw.windowSize);
-        const CompressedChannel *chans[2][2] = {{&ea.cw.i, &eb.cw.i},
-                                                {&ea.cw.q, &eb.cw.q}};
-        for (const auto &pair : chans) {
-            const auto &ca = *pair[0];
-            const auto &cb = *pair[1];
-            EXPECT_EQ(ca.numSamples, cb.numSamples);
-            EXPECT_EQ(ca.windowSize, cb.windowSize);
-            ASSERT_EQ(ca.windows.size(), cb.windows.size());
-            for (std::size_t w = 0; w < ca.windows.size(); ++w) {
-                EXPECT_EQ(ca.windows[w].icoeffs,
-                          cb.windows[w].icoeffs);
-                EXPECT_EQ(ca.windows[w].fcoeffs,
-                          cb.windows[w].fcoeffs);
-                EXPECT_EQ(ca.windows[w].zeros, cb.windows[w].zeros);
-            }
-            EXPECT_EQ(ca.delta.base, cb.delta.base);
-            EXPECT_EQ(ca.delta.originalCount,
-                      cb.delta.originalCount);
-            EXPECT_EQ(ca.delta.deltas, cb.delta.deltas);
-            EXPECT_EQ(ca.segments.size(), cb.segments.size());
-        }
-    }
-}
-
-/** Load a hand-crafted legacy blob, re-save (v4), reload: the
- *  migrated library must survive the v4 round trip unchanged. */
-void
-expectMigratesToV4(const std::string &blob)
-{
-    std::stringstream in(blob);
-    const auto loaded = CompressedLibrary::load(in);
-    std::stringstream out;
-    loaded.save(out);
-    const auto again = CompressedLibrary::load(out);
-    expectSameLibrary(loaded, again);
-}
-
-TEST(LibraryMigration, GoldenV1BlobLoadsAndRoundTripsIntoV4)
-{
-    std::string s;
-    put<std::uint32_t>(s, kGoldenMagic);
-    put<std::uint32_t>(s, 1); // version
-    put<std::uint64_t>(s, 1); // one entry
-    putEntryHeader(s, 0 /* X */, 0, -1, 0.0125, 3.1e-6);
-    put<std::uint8_t>(s, 3); // v1 codec enum: int-dct
-    put<std::uint64_t>(s, 4); // waveform windowSize
-    putIntChannel(s, 4, {812, -44}, 2, false);
-    putIntChannel(s, 4, {37}, 3, false);
-    // v1 trailer: waveform-level legacy delta pair (empty).
-    putLegacyDelta(s, 0, 0, 0, {});
-    putLegacyDelta(s, 0, 0, 0, {});
-
-    std::stringstream in(s);
-    const auto lib = CompressedLibrary::load(in);
-    ASSERT_EQ(lib.size(), 1u);
-    const auto &e =
-        lib.entry({waveform::GateType::X, 0, -1});
-    EXPECT_EQ(e.cw.codec, "int-dct"); // enum index migrated to name
-    EXPECT_DOUBLE_EQ(e.threshold, 0.0125);
-    ASSERT_EQ(e.cw.i.windows.size(), 1u);
-    EXPECT_EQ(e.cw.i.windows[0].icoeffs,
-              (std::vector<std::int32_t>{812, -44}));
-    EXPECT_FALSE(e.cw.i.isAdaptive());
-    expectMigratesToV4(s);
-}
-
-TEST(LibraryMigration, GoldenV1DeltaBlobRecoversNumSamples)
-{
-    std::string s;
-    put<std::uint32_t>(s, kGoldenMagic);
-    put<std::uint32_t>(s, 1);
-    put<std::uint64_t>(s, 1);
-    putEntryHeader(s, 1 /* SX */, 2, -1, 0.05, 1.2e-7);
-    put<std::uint8_t>(s, 0); // v1 codec enum: delta
-    put<std::uint64_t>(s, 0); // windowSize
-    // Empty channel bodies (delta entries stored no windows)...
-    putIntChannel(s, 0, {}, 0, false);
-    putIntChannel(s, 0, {}, 0, false);
-    // ...with the payload in the waveform-level trailer.
-    putLegacyDelta(s, 16384, 6, 5, {3, -2, 1, 0});
-    putLegacyDelta(s, 8192, 4, 5, {1, 1, -1, 2});
-
-    std::stringstream in(s);
-    const auto lib = CompressedLibrary::load(in);
-    const auto &e = lib.entry({waveform::GateType::SX, 2, -1});
-    EXPECT_EQ(e.cw.codec, "delta");
-    // The waveform-level trailer migrated into the channels and
-    // numSamples was recovered from the payload.
-    EXPECT_EQ(e.cw.i.delta.originalCount, 5u);
-    EXPECT_EQ(e.cw.i.numSamples, 5u);
-    EXPECT_EQ(e.cw.i.delta.deltas,
-              (std::vector<std::int32_t>{3, -2, 1, 0}));
-    expectMigratesToV4(s);
-}
-
-TEST(LibraryMigration, GoldenV2BlobLoadsAndRoundTripsIntoV4)
-{
-    std::string s;
-    put<std::uint32_t>(s, kGoldenMagic);
-    put<std::uint32_t>(s, 2); // version: codec stored by name
-    put<std::uint64_t>(s, 1);
-    putEntryHeader(s, 2 /* CX */, 1, 4, 0.025, 9.9e-6);
-    put<std::uint8_t>(s, 7); // name length
-    s.append("int-dct");
-    put<std::uint64_t>(s, 4);
-    putIntChannel(s, 7, {301, 12, -9}, 1, false);
-    putIntChannel(s, 7, {-45, 3}, 2, false);
-    putLegacyDelta(s, 0, 0, 0, {});
-    putLegacyDelta(s, 0, 0, 0, {});
-
-    std::stringstream in(s);
-    const auto lib = CompressedLibrary::load(in);
-    const auto &e = lib.entry({waveform::GateType::CX, 1, 4});
-    EXPECT_EQ(e.cw.codec, "int-dct");
-    EXPECT_EQ(e.cw.q.windows[0].icoeffs,
-              (std::vector<std::int32_t>{-45, 3}));
-    // Stored window records win over the derived count; the single
-    // window clamps to ws, numSamples stays authoritative.
-    EXPECT_EQ(e.cw.i.numWindows(), 1u);
-    EXPECT_EQ(e.cw.i.numSamples, 7u);
-    EXPECT_EQ(e.cw.i.windowSamples(0), 4u);
-    expectMigratesToV4(s);
-}
-
-TEST(LibraryMigration, CorruptV4SegmentTrailerDiesLoudly)
-{
-    // A hostile v4 stream whose flat segment claims a million
-    // samples against a 32-sample channel must die at load — not as
-    // an out-of-bounds write during playback.
-    std::string s;
-    put<std::uint32_t>(s, kGoldenMagic);
-    put<std::uint32_t>(s, 4);
-    put<std::uint64_t>(s, 1);
-    putEntryHeader(s, 0 /* X */, 0, -1, 0.01, 1e-6);
-    put<std::uint8_t>(s, 7);
+    put<std::uint8_t>(s, 7); // codec name length
     s.append("int-dct");
     put<std::uint64_t>(s, 16); // waveform windowSize
+}
+
+/** An empty delta record with its checkpoint side index. */
+void
+putEmptyDelta(std::string &s)
+{
+    put<std::uint16_t>(s, 0); // base
+    put<std::int32_t>(s, 0);  // deltaWidth
+    put<std::uint64_t>(s, 0); // originalCount
+    put<std::uint8_t>(s, 0);  // hasZeroCrossing
+    putVector<std::int32_t>(s, {});
+    put<std::uint64_t>(s, 0); // checkpointStride
+    putVector<std::uint16_t>(s, {});
+}
+
+TEST(LibraryFormat, CorruptSegmentTrailerDiesLoudly)
+{
+    // A hostile stream whose flat segment claims a million samples
+    // against a 32-sample channel must die at load — not as an
+    // out-of-bounds write during playback.
+    std::string s;
+    putHeader(s, 1);
+    putEntryHeader(s, 0 /* X */, 0, -1, 0.01, 1e-6);
     // I channel body: adaptive (no top-level windows).
     put<std::uint64_t>(s, 32); // numSamples
     put<std::uint64_t>(s, 16); // windowSize
     put<std::uint64_t>(s, 0);  // no windows
-    putLegacyDelta(s, 0, 0, 0, {});
-    put<std::uint64_t>(s, 0);            // checkpointStride
-    putVector<std::uint16_t>(s, {});     // checkpoints
+    putEmptyDelta(s);
     // Segment trailer: one flat segment with a hostile count.
     put<std::uint64_t>(s, 1);
     put<std::uint8_t>(s, 1);
@@ -837,37 +700,68 @@ TEST(LibraryMigration, CorruptV4SegmentTrailerDiesLoudly)
     put<std::uint64_t>(s, 0);
     put<std::uint64_t>(s, 0);
     put<std::uint64_t>(s, 0);
-    putLegacyDelta(s, 0, 0, 0, {});
-    put<std::uint64_t>(s, 0);
-    putVector<std::uint16_t>(s, {});
+    putEmptyDelta(s);
 
     std::stringstream in(s);
     EXPECT_DEATH({ auto l = CompressedLibrary::load(in); },
                  "overrun");
 }
 
-TEST(LibraryMigration, GoldenV3BlobLoadsAndRoundTripsIntoV4)
+TEST(LibraryFormat, LyingLengthFieldsDieTruncated)
 {
+    // A one-entry library whose channels hold one plain window; the
+    // offsets of its u64 length fields are recorded as it is written.
     std::string s;
-    put<std::uint32_t>(s, kGoldenMagic);
-    put<std::uint32_t>(s, 3); // version: per-channel delta records
-    put<std::uint64_t>(s, 1);
-    putEntryHeader(s, 3 /* Measure */, 5, -1, 0.00625, 4.4e-8);
-    put<std::uint8_t>(s, 7);
-    s.append("int-dct");
-    put<std::uint64_t>(s, 4);
-    putIntChannel(s, 4, {650}, 3, true);
-    putIntChannel(s, 4, {649, -1}, 2, true);
+    std::vector<std::size_t> fields;
+    putHeader(s, 1);
+    putEntryHeader(s, 0 /* X */, 0, -1, 0.01, 1e-6);
+    for (int ch = 0; ch < 2; ++ch) {
+        put<std::uint64_t>(s, 16); // numSamples
+        put<std::uint64_t>(s, 16); // windowSize
+        fields.push_back(s.size());
+        put<std::uint64_t>(s, 1); // window count
+        fields.push_back(s.size());
+        putVector<double>(s, {});
+        fields.push_back(s.size());
+        putVector<std::int32_t>(s, {812, -44});
+        put<std::uint32_t>(s, 14); // zeros
+        put<std::uint16_t>(s, 0);  // delta base
+        put<std::int32_t>(s, 0);   // deltaWidth
+        put<std::uint64_t>(s, 0);  // originalCount
+        put<std::uint8_t>(s, 0);   // hasZeroCrossing
+        fields.push_back(s.size());
+        putVector<std::int32_t>(s, {});
+        put<std::uint64_t>(s, 0); // checkpointStride
+        fields.push_back(s.size());
+        putVector<std::uint16_t>(s, {});
+        fields.push_back(s.size());
+        put<std::uint64_t>(s, 0); // segment count
+    }
+    {
+        std::stringstream in(s);
+        const auto lib = CompressedLibrary::load(in);
+        EXPECT_EQ(lib.entry({waveform::GateType::X, 0, -1})
+                      .cw.q.windows[0]
+                      .icoeffs,
+                  (std::vector<std::int32_t>{812, -44}));
+    }
 
-    std::stringstream in(s);
-    const auto lib = CompressedLibrary::load(in);
-    const auto &e = lib.entry({waveform::GateType::Measure, 5, -1});
-    ASSERT_EQ(e.cw.i.windows.size(), 1u);
-    EXPECT_EQ(e.cw.i.windows[0].zeros, 3u);
-    // v3 predates the adaptive variant: channels load plain.
-    EXPECT_FALSE(e.cw.i.isAdaptive());
-    EXPECT_FALSE(e.cw.q.isAdaptive());
-    expectMigratesToV4(s);
+    // Each field in turn claims 2^40 (then 2^63) elements, with 64 KiB
+    // of zeros behind the record: the reader grows its containers
+    // only as elements arrive, so every such stream dies at its end
+    // instead of allocating what the field claims.
+    for (const std::uint64_t count : {std::uint64_t{1} << 40,
+                                      std::uint64_t{1} << 63}) {
+        for (const std::size_t at : fields) {
+            std::string bad = s;
+            std::memcpy(bad.data() + at, &count, sizeof(count));
+            bad.append(std::size_t{1} << 16, '\0');
+            std::stringstream in(bad);
+            EXPECT_DEATH({ auto l = CompressedLibrary::load(in); },
+                         "truncated compressed library stream")
+                << "field at byte " << at << ", count " << count;
+        }
+    }
 }
 
 } // namespace

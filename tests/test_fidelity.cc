@@ -11,7 +11,7 @@
 
 #include "circuits/circuit.hh"
 #include "circuits/transpiler.hh"
-#include "core/compressed_library.hh"
+#include "core/library_compiler.hh"
 #include "fidelity/clifford.hh"
 #include "fidelity/gates.hh"
 #include "fidelity/noise.hh"
@@ -486,7 +486,11 @@ TEST(Noise, CompressedGateSetCloseToBaseline)
     core::FidelityAwareConfig cfg;
     cfg.base.codec = "int-dct";
     cfg.base.windowSize = 16;
-    const auto clib = core::CompressedLibrary::build(lib, cfg);
+    const auto clib = core::LibraryCompiler({.fidelity = cfg,
+                                             .workers = 1,
+                                             .planPerChannel = false})
+                          .compile(lib)
+                          .library;
     const auto base = GateSet::fromLibrary(dev, lib);
     const auto comp = GateSet::fromCompressed(dev, lib, clib);
     for (int q = 0; q < 5; ++q) {

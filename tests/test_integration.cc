@@ -16,6 +16,7 @@
 #include "circuits/transpiler.hh"
 #include "core/compressed_library.hh"
 #include "core/decompressor.hh"
+#include "core/library_compiler.hh"
 #include "fidelity/noise.hh"
 #include "fidelity/pulse_sim.hh"
 #include "fidelity/tvd.hh"
@@ -30,6 +31,18 @@ namespace compaqt
 namespace
 {
 
+/** The serial single-codec compile: one worker, no per-channel
+ *  planning. */
+core::CompressedLibrary
+compileSerial(const waveform::PulseLibrary &lib,
+              const core::FidelityAwareConfig &cfg)
+{
+    return core::LibraryCompiler(
+               {.fidelity = cfg, .workers = 1, .planPerChannel = false})
+        .compile(lib)
+        .library;
+}
+
 /** Shared compile step: guadalupe device, WS=16 int-DCT-W library. */
 struct CompiledDevice
 {
@@ -43,7 +56,7 @@ struct CompiledDevice
         core::FidelityAwareConfig cfg;
         cfg.base.codec = "int-dct";
         cfg.base.windowSize = 16;
-        clib = core::CompressedLibrary::build(lib, cfg);
+        clib = compileSerial(lib, cfg);
     }
 };
 
@@ -66,13 +79,14 @@ TEST(Integration, EveryGatePulseStreamsBitExact)
             uarch::DecompressionPipeline pipe(
                 uarch::EngineKind::IntDctW, 16, width);
             pipe.load(*ch);
-            const auto hw = pipe.stream();
+            std::vector<std::int32_t> hw(pipe.numWindows() * 16);
+            pipe.streamInto(hw);
+            hw.resize(pipe.loadedSamples());
             const auto sw =
                 dec.decompressChannel(*ch, "int-dct");
-            ASSERT_EQ(hw.samples.size(), sw.size());
+            ASSERT_EQ(hw.size(), sw.size());
             for (std::size_t k = 0; k < sw.size(); ++k)
-                ASSERT_EQ(dsp::IntDct::dequantize(hw.samples[k]),
-                          sw[k])
+                ASSERT_EQ(dsp::IntDct::dequantize(hw[k]), sw[k])
                     << waveform::toString(id) << " k=" << k;
         }
     }
@@ -142,8 +156,9 @@ TEST(Integration, ControllerSupportsFiveFoldMoreQubits)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = cd.clib.worstCaseWindowWords();
-    const uarch::Controller base(uc, cd.clib);
-    const uarch::Controller comp(cc, cd.clib);
+    EXPECT_NO_THROW(uarch::Controller::validateLibrary(cc, cd.clib));
+    const uarch::Controller base(uc);
+    const uarch::Controller comp(cc);
     EXPECT_GE(comp.maxConcurrentQubits(),
               5 * base.maxConcurrentQubits());
 }
@@ -160,8 +175,8 @@ TEST(Integration, ScheduledCircuitFitsBankBudget)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = cd.clib.worstCaseWindowWords();
-    uarch::Controller ctl(cc, cd.clib);
-    const auto stats = ctl.execute(sched);
+    const uarch::Controller ctl(cc);
+    const auto stats = ctl.execute(sched, cd.clib);
     EXPECT_TRUE(stats.feasible);
     EXPECT_GT(stats.totalSamples, 0u);
     EXPECT_GT(stats.peakChannels, 0);
@@ -199,7 +214,13 @@ TEST(Integration, SerializationSurvivesFullFlow)
                                    width);
     a.load(cd.clib.entry(id).cw.i);
     b.load(loaded.entry(id).cw.i);
-    EXPECT_EQ(a.stream().samples, b.stream().samples);
+    std::vector<std::int32_t> sa(a.numWindows() * 16);
+    std::vector<std::int32_t> sb(b.numWindows() * 16);
+    a.streamInto(sa);
+    b.streamInto(sb);
+    sa.resize(a.loadedSamples());
+    sb.resize(b.loadedSamples());
+    EXPECT_EQ(sa, sb);
 }
 
 TEST(Integration, WindowSize8HasMoreBoundaryDistortion)
@@ -210,7 +231,7 @@ TEST(Integration, WindowSize8HasMoreBoundaryDistortion)
     core::FidelityAwareConfig cfg8;
     cfg8.base.codec = "int-dct";
     cfg8.base.windowSize = 8;
-    const auto clib8 = core::CompressedLibrary::build(cd.lib, cfg8);
+    const auto clib8 = compileSerial(cd.lib, cfg8);
     core::Decompressor dec;
     double err8 = 0.0, err16 = 0.0;
     int n = 0;

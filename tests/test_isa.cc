@@ -43,28 +43,30 @@ namespace compaqt::isa
 namespace
 {
 
-core::CompressedLibrary
+std::shared_ptr<const core::CompressedLibrary>
 buildCompressed(const waveform::PulseLibrary &lib)
 {
-    return core::CompressionPipeline::with("int-dct")
-        .window(16)
-        .mseTarget(1e-5)
-        .build()
-        .compressLibrary(lib);
+    return std::make_shared<const core::CompressedLibrary>(
+        core::CompressionPipeline::with("int-dct")
+            .window(16)
+            .mseTarget(1e-5)
+            .build()
+            .compressLibrary(lib));
 }
 
 /** The same codec with adaptive flat-top planning: flat segments are
  *  served through the IDCT bypass and never enter the model. */
-core::CompressedLibrary
+std::shared_ptr<const core::CompressedLibrary>
 buildAdaptive(const waveform::PulseLibrary &lib)
 {
-    return core::CompressionPipeline::with("int-dct")
-        .window(16)
-        .mseTarget(1e-5)
-        .planAdaptive()
-        .build()
-        .compileLibrary(lib)
-        .library;
+    return std::make_shared<const core::CompressedLibrary>(
+        core::CompressionPipeline::with("int-dct")
+            .window(16)
+            .mseTarget(1e-5)
+            .planAdaptive()
+            .build()
+            .compileLibrary(lib)
+            .library);
 }
 
 uarch::ControllerConfig
@@ -237,13 +239,12 @@ class IsaCompilerTest : public ::testing::Test
             waveform::DeviceModel::ibm("bogota"));
         lib_ = new waveform::PulseLibrary(
             waveform::PulseLibrary::build(*dev_));
-        clib_ = new core::CompressedLibrary(buildCompressed(*lib_));
+        clib_ = buildCompressed(*lib_);
     }
 
     static void
     TearDownTestSuite()
     {
-        delete clib_;
         delete lib_;
         delete dev_;
         clib_ = nullptr;
@@ -255,17 +256,17 @@ class IsaCompilerTest : public ::testing::Test
     makeRack(int shards, std::size_t cache_windows) const
     {
         return runtime::Rack(
-            *dev_, *clib_, rackConfig(*clib_, shards, cache_windows));
+            *dev_, clib_, rackConfig(*clib_, shards, cache_windows));
     }
 
     static waveform::DeviceModel *dev_;
     static waveform::PulseLibrary *lib_;
-    static core::CompressedLibrary *clib_;
+    static std::shared_ptr<const core::CompressedLibrary> clib_;
 };
 
 waveform::DeviceModel *IsaCompilerTest::dev_ = nullptr;
 waveform::PulseLibrary *IsaCompilerTest::lib_ = nullptr;
-core::CompressedLibrary *IsaCompilerTest::clib_ = nullptr;
+std::shared_ptr<const core::CompressedLibrary> IsaCompilerTest::clib_;
 
 TEST_F(IsaCompilerTest, WaitCyclesBridgeScheduleGaps)
 {
@@ -403,7 +404,7 @@ TEST_F(IsaCompilerTest, PrefetchHintsTargetTiersByReuseDistance)
     // tier so they cannot wash the hot set out.
     runtime::RackConfig rc = rackConfig(*clib_, 1, 64);
     rc.tier1Windows = 4096;
-    const runtime::Rack tiered(*dev_, *clib_, rc);
+    const runtime::Rack tiered(*dev_, clib_, rc);
     ProgramStats tst;
     Compiler(tiered, {.prefetchLeadCycles = 1})
         .compileShard(sched, &tst);
@@ -564,7 +565,7 @@ TEST(IsaExecution, MatchesOracleAcrossDeviceSuite)
 
         for (const int workers : {1, 4}) {
             const runtime::Rack rack(
-                tc.dev, clib, rackConfig(clib, tc.shards, 4096));
+                tc.dev, clib, rackConfig(*clib, tc.shards, 4096));
             const auto base = oracle::rackStats(rack, batch);
             EXPECT_GT(base.totalGates, 0u) << tc.name;
             EXPECT_EQ(base.missingGates, 0u) << tc.name;
@@ -591,7 +592,7 @@ TEST(IsaExecution, MatchesOracleOnTieredRacks)
     const auto sched = deviceWorkload(dev);
     const std::vector<circuits::Schedule> batch = {sched, sched};
 
-    const runtime::Rack flat(dev, clib, rackConfig(clib, 2, 4096));
+    const runtime::Rack flat(dev, clib, rackConfig(*clib, 2, 4096));
     const auto base = oracle::rackStats(flat, batch);
     ASSERT_GT(base.totalGates, 0u);
 
@@ -599,7 +600,7 @@ TEST(IsaExecution, MatchesOracleOnTieredRacks)
     for (const auto policy :
          {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
         for (const int workers : {1, 4}) {
-            runtime::RackConfig rc = rackConfig(clib, 2, 48);
+            runtime::RackConfig rc = rackConfig(*clib, 2, 48);
             rc.tier1Windows = 4096;
             rc.admission = policy;
             const runtime::Rack rack(dev, clib, rc);
@@ -641,7 +642,7 @@ TEST(IsaExecution, UnownedEventsReportedIdentically)
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 2, 4096));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 2, 4096));
     runtime::RuntimeService svc(rack);
     circuits::Circuit c(8);
     for (int q = 0; q < 8; ++q)
@@ -672,7 +673,7 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
     const auto runWith = [&](simd::Backend b) {
         simd::setBackend(b);
         const runtime::Rack rack(dev, clib,
-                                 rackConfig(clib, 2, 1 << 14));
+                                 rackConfig(*clib, 2, 1 << 14));
         runtime::RuntimeService svc(rack, {.workers = 1});
         const auto stats = svc.executeBatchCompiledPerJob({sched}).total;
         // Decode every channel the way playback does: batches of
@@ -681,7 +682,7 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
             runtime::WindowPlayer::kBatchWindows;
         const core::Decompressor dec;
         std::vector<double> decoded;
-        for (const auto &[id, e] : clib.entries())
+        for (const auto &[id, e] : clib->entries())
             for (const auto *ch : {&e.cw.i, &e.cw.q}) {
                 std::vector<double> scratch(ch->windowSize * kBatch);
                 for (std::size_t w = 0; w < ch->numWindows();
@@ -732,14 +733,14 @@ TEST(IsaExecution, PrefetchRaisesColdCacheHitRate)
     const auto sched = circuits::schedule(sc.circuit, {});
 
     const runtime::Rack bareRack(dev, clib,
-                                 rackConfig(clib, 1, 1 << 15));
+                                 rackConfig(*clib, 1, 1 << 15));
     runtime::RuntimeService bare(bareRack, {.workers = 1});
     const auto cold =
         bare.executeBatchCompiledPerJob({sched}, {.emitPrefetch = false})
             .total;
 
     const runtime::Rack prefetchRack(dev, clib,
-                                     rackConfig(clib, 1, 1 << 15));
+                                     rackConfig(*clib, 1, 1 << 15));
     runtime::RuntimeService prefetching(prefetchRack, {.workers = 1});
     const auto warm = prefetching.executeBatchCompiledPerJob({sched}).total;
 
@@ -761,7 +762,7 @@ TEST(IsaExecution, InterpreterCountsMatchProgramStats)
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 1, 4096));
     const auto sched = deviceWorkload(dev);
     const Compiler comp(rack);
     ProgramStats st;
@@ -815,7 +816,7 @@ TEST(IsaExecution, PrefetchStreaksReplayLikeOneWindowPrefetches)
         const auto clib = buildAdaptive(waveform::PulseLibrary::build(dev));
         // A small fast tier over a large slow one, so the compiler
         // emits both hints and the replay demotes and promotes.
-        auto rc = rackConfig(clib, 4, 64);
+        auto rc = rackConfig(*clib, 4, 64);
         rc.tier1Windows = 1 << 12;
         rc.admission = runtime::AdmissionPolicy::TinyLfu;
         const runtime::Rack rack(dev, clib, rc);
@@ -881,10 +882,10 @@ TEST(IsaExecution, PrefetchStreakBreaksOnTierChannelGapAndGate)
     // still retires.
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto clib = buildCompressed(waveform::PulseLibrary::build(dev));
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 1, 4096));
     std::vector<std::pair<waveform::GateId, const core::CompressedEntry *>>
         gates;
-    for (const auto &[id, e] : clib.entries())
+    for (const auto &[id, e] : clib->entries())
         if (gates.size() < 2 && e.cw.i.numWindows() >= 8 &&
             e.cw.q.numWindows() >= 8)
             gates.emplace_back(id, &e);
@@ -958,10 +959,10 @@ TEST(IsaExecution, PrefetchStreakOverFlatSegmentRecordsRampWindows)
     // event per ramp run; the flat windows never enter the model.
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto clib = buildAdaptive(waveform::PulseLibrary::build(dev));
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 1, 4096));
     const waveform::GateId *id = nullptr;
     const core::CompressedEntry *entry = nullptr;
-    for (const auto &[gid, e] : clib.entries()) {
+    for (const auto &[gid, e] : clib->entries()) {
         const auto &segs = e.cw.i.segments;
         if (segs.size() >= 3 && !segs.front().isFlat &&
             !segs.back().isFlat) {
@@ -1019,7 +1020,7 @@ TEST(IsaExecution, InterpreterRejectsForeignPrograms)
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 1, 4096));
     InstructionProgram prog;
     const auto ref =
         prog.internGate({waveform::GateType::X, 99, -1});
@@ -1067,11 +1068,11 @@ TEST_P(InterpreterOutOfGrid, ThrowsBeforeAnythingPlays)
     const OutOfGridShape &shape = GetParam();
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto clib = buildAdaptive(waveform::PulseLibrary::build(dev));
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 1, 4096));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 1, 4096));
 
     const waveform::GateId *id = nullptr;
     const core::CompressedEntry *entry = nullptr;
-    for (const auto &[gid, e] : clib.entries())
+    for (const auto &[gid, e] : clib->entries())
         if (e.cw.i.isAdaptive() == shape.adaptive &&
             e.cw.i.numWindows() > 1) {
             id = &gid;
@@ -1141,9 +1142,9 @@ TEST(IsaExecution, InterpreterRejectsStaleProgramsAfterSwap)
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
-    auto libA = std::make_shared<core::CompressedLibrary>(clib);
-    auto libB = std::make_shared<core::CompressedLibrary>(clib);
-    runtime::Rack rack(dev, libA, rackConfig(clib, 1, 1 << 12));
+    auto libA = std::make_shared<core::CompressedLibrary>(*clib);
+    auto libB = std::make_shared<core::CompressedLibrary>(*clib);
+    runtime::Rack rack(dev, libA, rackConfig(*clib, 1, 1 << 12));
 
     circuits::Circuit c(2);
     c.x(0);
@@ -1247,9 +1248,9 @@ TEST(IsaExecution, ServiceProgramCacheServesRepeatBatches)
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
     const auto clib = buildCompressed(lib);
-    auto libA = std::make_shared<core::CompressedLibrary>(clib);
-    auto libB = std::make_shared<core::CompressedLibrary>(clib);
-    runtime::Rack rack(dev, libA, rackConfig(clib, 2, 1 << 12));
+    auto libA = std::make_shared<core::CompressedLibrary>(*clib);
+    auto libB = std::make_shared<core::CompressedLibrary>(*clib);
+    runtime::Rack rack(dev, libA, rackConfig(*clib, 2, 1 << 12));
     runtime::RuntimeService svc(rack, {.workers = 1});
     const auto sched = deviceWorkload(dev);
 
@@ -1285,7 +1286,7 @@ TEST(IsaExecution, StreamShapingConfigsMissEachOtherInProgramCache)
     // served the default's, and the default still hits its own.
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto clib = buildCompressed(waveform::PulseLibrary::build(dev));
-    const runtime::Rack rack(dev, clib, rackConfig(clib, 2, 1 << 12));
+    const runtime::Rack rack(dev, clib, rackConfig(*clib, 2, 1 << 12));
     const std::vector<circuits::Schedule> batch = {deviceWorkload(dev)};
     const CompilerConfig base;
     struct Variant
@@ -1339,7 +1340,7 @@ TEST_F(IsaCompilerTest, CompileAccountsEachShardsDemand)
     const Case cases[] = {
         {"bogota walk", makeRack(2, 4096), deviceWorkload(*dev_)},
         {"d=5 QEC",
-         runtime::Rack(qecDev, qecLib, rackConfig(qecLib, 4, 1 << 15)),
+         runtime::Rack(qecDev, qecLib, rackConfig(*qecLib, 4, 1 << 15)),
          circuits::schedule(sc.circuit, {})},
     };
     for (const Case &tc : cases) {

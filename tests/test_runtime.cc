@@ -317,19 +317,20 @@ TEST(DecodedCache, PrefetchIsANoOpWhenDisabledOrResident)
 
 TEST(DecodedCache, DefaultWindowHookMatchesChannelSlice)
 {
-    // The base-class decompressWindow (decode-and-slice) must agree
-    // with decompressChannel for codecs that do not override it.
+    // The base-class decompressWindowInto (decode-and-slice) must
+    // agree with decompressChannel for codecs that do not override it.
     const auto wf = waveform::drag(144, 36.0, 0.2, 1.2);
     const core::Compressor comp({"dct-w", 16, 1e-3});
     const auto cw = comp.compress(wf);
     const core::Decompressor dec;
     const auto golden = dec.decompressChannel(cw.i, cw.codec);
     std::vector<double> assembled;
-    std::vector<double> window;
+    std::vector<double> window(cw.i.windowSize);
     for (std::uint32_t w = 0; w < cw.i.windows.size(); ++w) {
-        dec.decompressWindow(cw.i, cw.codec, w, window);
+        const std::size_t n =
+            dec.decompressWindowInto(cw.i, cw.codec, w, window);
         assembled.insert(assembled.end(), window.begin(),
-                         window.end());
+                         window.begin() + static_cast<std::ptrdiff_t>(n));
     }
     EXPECT_EQ(assembled, golden);
 
@@ -337,7 +338,9 @@ TEST(DecodedCache, DefaultWindowHookMatchesChannelSlice)
     const core::Compressor whole({"dct-n", 0, 1e-3});
     const auto cwn = whole.compress(wf);
     ASSERT_EQ(cwn.i.windows.size(), 1u);
-    dec.decompressWindow(cwn.i, cwn.codec, 0, window);
+    window.resize(cwn.i.windowSamples(0));
+    EXPECT_EQ(dec.decompressWindowInto(cwn.i, cwn.codec, 0, window),
+              window.size());
     EXPECT_EQ(window, dec.decompressChannel(cwn.i, cwn.codec));
 }
 
@@ -850,7 +853,8 @@ class RackSurface49 : public ::testing::Test
                 sc.nativeCoupling().edges()));
         lib_ = new waveform::PulseLibrary(
             waveform::PulseLibrary::build(*dev_));
-        clib_ = new core::CompressedLibrary(buildCompressed(*lib_));
+        clib_ = std::make_shared<const core::CompressedLibrary>(
+            buildCompressed(*lib_));
         sched_ = new circuits::Schedule(
             circuits::schedule(sc.circuit, {}));
     }
@@ -859,7 +863,6 @@ class RackSurface49 : public ::testing::Test
     TearDownTestSuite()
     {
         delete sched_;
-        delete clib_;
         delete lib_;
         delete dev_;
         sched_ = nullptr;
@@ -881,20 +884,20 @@ class RackSurface49 : public ::testing::Test
 
     static waveform::DeviceModel *dev_;
     static waveform::PulseLibrary *lib_;
-    static core::CompressedLibrary *clib_;
+    static std::shared_ptr<const core::CompressedLibrary> clib_;
     static circuits::Schedule *sched_;
 };
 
 waveform::DeviceModel *RackSurface49::dev_ = nullptr;
 waveform::PulseLibrary *RackSurface49::lib_ = nullptr;
-core::CompressedLibrary *RackSurface49::clib_ = nullptr;
+std::shared_ptr<const core::CompressedLibrary> RackSurface49::clib_;
 circuits::Schedule *RackSurface49::sched_ = nullptr;
 
 TEST_F(RackSurface49, StatsRollupIsConsistent)
 {
     // Cache sized to the workload's unique-window working set, so
     // the batch's second circuit replays from cache.
-    const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
+    const Rack rack(*dev_, clib_, rackConfig(4, 1 << 15));
     RuntimeService svc(rack, {.workers = 1});
     const auto stats =
         svc.executeBatchCompiledPerJob({*sched_, *sched_}).total;
@@ -933,7 +936,7 @@ TEST_F(RackSurface49, WorkerCountDoesNotChangeDemand)
                                                    *sched_};
     std::vector<RackStats> runs;
     for (const int workers : {1, 8}) {
-        const Rack rack(*dev_, *clib_, rackConfig(8, 4096));
+        const Rack rack(*dev_, clib_, rackConfig(8, 4096));
         RuntimeService svc(rack, {.workers = workers});
         runs.push_back(svc.executeBatchCompiledPerJob(batch).total);
     }
@@ -971,7 +974,7 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
     // per-shard demand and decode totals bit-for-bit, at 1 and 8
     // workers, while windows really do flow through tier 1.
     const std::vector<circuits::Schedule> batch = {*sched_, *sched_};
-    const Rack flat(*dev_, *clib_, rackConfig(8, 4096));
+    const Rack flat(*dev_, clib_, rackConfig(8, 4096));
     RuntimeService ref(flat, {.workers = 1});
     const auto base = ref.executeBatchCompiledPerJob(batch).total;
 
@@ -981,7 +984,7 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
             RackConfig rc = rackConfig(8, 256);
             rc.tier1Windows = 4096;
             rc.admission = policy;
-            const Rack rack(*dev_, *clib_, rc);
+            const Rack rack(*dev_, clib_, rc);
             RuntimeService svc(rack, {.workers = workers});
             const auto got = svc.executeBatchCompiledPerJob(batch).total;
             const std::string tag =
@@ -1069,7 +1072,7 @@ TEST_F(RackSurface49, ModelCountersIdenticalAcrossWorkerCounts)
     for (const auto &[name, rc] : racks) {
         std::vector<std::vector<RackStats>> runs;
         for (const int workers : {1, 4}) {
-            const Rack rack(*dev_, *clib_, rc);
+            const Rack rack(*dev_, clib_, rc);
             RuntimeService svc(rack, {.workers = workers});
             auto &seq = runs.emplace_back();
             for (int round = 0; round < 3; ++round)
@@ -1102,7 +1105,7 @@ TEST_F(RackSurface49, ThrowingBatchLeavesTheModelUntouched)
     // job at a time, and those re-runs must count only their own
     // hits. The short schedule's programs fit an instruction memory
     // sized to them; the surface-code cycle's do not.
-    const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
+    const Rack rack(*dev_, clib_, rackConfig(4, 1 << 15));
     circuits::Circuit c(8);
     for (int q = 0; q < 8; ++q)
         c.x(q);
@@ -1131,7 +1134,7 @@ TEST_F(RackSurface49, ThrowingBatchLeavesTheModelUntouched)
 
 TEST_F(RackSurface49, HotBatchRunsAlmostEntirelyFromCache)
 {
-    const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
+    const Rack rack(*dev_, clib_, rackConfig(4, 1 << 15));
     RuntimeService svc(rack, {.workers = 2});
     svc.executeBatchCompiledPerJob({*sched_}); // cold pass fills the cache
     const auto warm = svc.executeBatchCompiledPerJob({*sched_}).total;
@@ -1146,10 +1149,11 @@ TEST(RackUncompressed, BaselineRackSkipsDecodeAndCache)
     // and the cache stays untouched.
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = core::CompressionPipeline::with("dct-n")
-                          .mseTarget(1e-5)
-                          .build()
-                          .compressLibrary(lib);
+    const auto clib = std::make_shared<const core::CompressedLibrary>(
+        core::CompressionPipeline::with("dct-n")
+            .mseTarget(1e-5)
+            .build()
+            .compressLibrary(lib));
 
     RackConfig rc;
     rc.numShards = 2;
@@ -1178,11 +1182,12 @@ TEST(RackMismatch, ReportsEventsNoShardOwns)
     // reported, not silently lost.
     const auto dev = waveform::DeviceModel::ibm("bogota"); // 5 qubits
     const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = buildCompressed(lib);
+    const auto clib =
+        std::make_shared<const core::CompressedLibrary>(buildCompressed(lib));
 
     RackConfig rc;
     rc.numShards = 2;
-    rc.controller = controllerConfig(clib);
+    rc.controller = controllerConfig(*clib);
     const Rack rack(dev, clib, rc);
     RuntimeService svc(rack);
 
@@ -1197,7 +1202,7 @@ TEST(RackMismatch, ReportsEventsNoShardOwns)
 
 TEST_F(RackSurface49, PerJobRollupsSumToBatchTotal)
 {
-    const Rack rack(*dev_, *clib_, rackConfig(4, 4096));
+    const Rack rack(*dev_, clib_, rackConfig(4, 4096));
     RuntimeService svc(rack, {.workers = 2});
     const auto exec =
         svc.executeBatchCompiledPerJob({*sched_, *sched_, *sched_});
@@ -1227,7 +1232,7 @@ TEST_F(RackSurface49, PerJobStatsIndependentOfBatchComposition)
     // schedule reports identical per-job numbers alone and riding in
     // a larger coalesced batch — what makes serving-plane attribution
     // deterministic.
-    const Rack rack(*dev_, *clib_, rackConfig(4, 1 << 15));
+    const Rack rack(*dev_, clib_, rackConfig(4, 1 << 15));
     RuntimeService svc(rack, {.workers = 4});
     const auto alone = svc.executeBatchCompiledPerJob({*sched_}).jobs[0];
     const auto mixed = svc.executeBatchCompiledPerJob(
@@ -1257,7 +1262,7 @@ TEST_F(RackSurface49, ShardCountPreservesFleetWork)
     // its distribution changes.
     std::vector<std::uint64_t> totals;
     for (const int shards : {1, 2, 8}) {
-        const Rack rack(*dev_, *clib_, rackConfig(shards, 0));
+        const Rack rack(*dev_, clib_, rackConfig(shards, 0));
         RuntimeService svc(rack, {.workers = 1});
         const auto stats = svc.executeBatchCompiledPerJob({*sched_}).total;
         totals.push_back(stats.totalSamples);
@@ -1303,7 +1308,10 @@ struct AdaptiveRackFixture
         rc.numShards = 2;
         rc.controller = controllerConfig(compiled.library);
         rc.cacheWindows = cache_windows;
-        return Rack(dev, compiled.library, rc);
+        return Rack(dev,
+                    std::make_shared<const core::CompressedLibrary>(
+                        compiled.library),
+                    rc);
     }
 };
 
@@ -1384,21 +1392,24 @@ TEST(RackAdaptive, ControllerPlaybackMatchesGoldenDecoder)
     // the hardware pipeline bit-exact with the software decoder,
     // with the IDCT engine bypassed on the flat segments.
     const AdaptiveRackFixture fx;
-    uarch::Controller ctrl(controllerConfig(fx.compiled.library),
-                           fx.compiled.library);
+    const core::CompressedLibrary &clib = fx.compiled.library;
+    const uarch::ControllerConfig cc = controllerConfig(clib);
+    uarch::Controller::validateLibrary(cc, clib);
+    const uarch::Controller ctrl(cc);
     const core::Decompressor dec;
+    std::vector<std::int32_t> played;
     bool sawAdaptive = false;
-    for (const auto &[id, e] : fx.compiled.library.entries()) {
+    for (const auto &[id, e] : clib.entries()) {
         if (!e.cw.i.isAdaptive())
             continue;
         sawAdaptive = true;
-        const auto played = ctrl.playGate(id);
-        EXPECT_GT(played.stats.bypassSamples, 0u);
+        played.assign(e.cw.i.numWindows() * cc.windowSize, 0);
+        const auto stats = ctrl.playGateInto(clib, id, played);
+        EXPECT_GT(stats.bypassSamples, 0u);
         const auto golden = dec.decompressChannel(e.cw.i, e.cw.codec);
-        ASSERT_EQ(played.samples.size(), golden.size());
+        ASSERT_EQ(stats.samplesOut, golden.size());
         for (std::size_t k = 0; k < golden.size(); ++k)
-            ASSERT_EQ(played.samples[k],
-                      dsp::IntDct::quantize(golden[k]))
+            ASSERT_EQ(played[k], dsp::IntDct::quantize(golden[k]))
                 << waveform::toString(id) << " sample " << k;
     }
     EXPECT_TRUE(sawAdaptive);
@@ -1517,16 +1528,16 @@ TEST(WindowPlayer, RangePlaysMatchOneWindowPlays)
     }
     EXPECT_TRUE(played_adaptive);
 
-    const auto plain_lib =
-        buildCompressed(waveform::PulseLibrary::build(fx.dev));
+    const auto plain_lib = std::make_shared<const core::CompressedLibrary>(
+        buildCompressed(waveform::PulseLibrary::build(fx.dev)));
     RackConfig rc;
     rc.numShards = 1;
-    rc.controller = controllerConfig(plain_lib);
+    rc.controller = controllerConfig(*plain_lib);
     rc.cacheWindows = 4096;
     const Rack plain(fx.dev, plain_lib, rc);
     const waveform::GateId *best_id = nullptr;
     const core::CompressedEntry *best = nullptr;
-    for (const auto &[id, e] : plain_lib.entries())
+    for (const auto &[id, e] : plain_lib->entries())
         if (!best || e.cw.q.numWindows() > best->cw.q.numWindows()) {
             best_id = &id;
             best = &e;
@@ -1576,6 +1587,19 @@ TEST(LibraryRegistry, PublishAssignsMonotonicVersionsAndTracksLives)
     EXPECT_EQ(reg.liveVersions(), 1u);
 }
 
+TEST(LibraryRegistry, NullLibraryThrowsAndPublishesNothing)
+{
+    EXPECT_THROW(LibraryRegistry{nullptr}, std::invalid_argument);
+
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    LibraryRegistry reg(std::make_shared<const core::CompressedLibrary>(
+        buildCompressed(waveform::PulseLibrary::build(dev))));
+    const std::uint64_t v1 = reg.currentVersion();
+    EXPECT_THROW(reg.publish(nullptr), std::invalid_argument);
+    EXPECT_EQ(reg.currentVersion(), v1);
+    EXPECT_EQ(reg.swaps(), 0u);
+}
+
 TEST(LibraryRegistry, PinnedEpochSurvivesLaterPublishes)
 {
     const auto dev = waveform::DeviceModel::ibm("bogota");
@@ -1610,6 +1634,8 @@ TEST(RackSwap, SwapRejectsContractViolationsAndKeepsServing)
     rc.numShards = 2;
     rc.controller = controllerConfig(*good);
     Rack rack(dev, good, rc);
+    // The rack owns its one epoch through the registry.
+    EXPECT_EQ(rack.registry()->liveVersions(), 1u);
     const std::uint64_t v1 = rack.currentLibrary().version;
     EXPECT_THROW(rack.swapLibrary(nullptr), std::exception);
     EXPECT_THROW(rack.swapLibrary(bad), std::invalid_argument);
@@ -1621,6 +1647,18 @@ TEST(RackSwap, SwapRejectsContractViolationsAndKeepsServing)
     const std::uint64_t v2 = rack.swapLibrary(good2);
     EXPECT_GT(v2, v1);
     EXPECT_EQ(rack.currentLibrary().version, v2);
+}
+
+TEST(RackSwap, NullLibraryOrRegistryConstructionThrows)
+{
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    RackConfig rc;
+    rc.numShards = 2;
+    EXPECT_THROW(
+        Rack(dev, std::shared_ptr<const core::CompressedLibrary>{}, rc),
+        std::invalid_argument);
+    EXPECT_THROW(Rack(dev, std::shared_ptr<LibraryRegistry>{}, rc),
+                 std::invalid_argument);
 }
 
 TEST(RackSwap, StaleWindowsAgeOutWithoutAFlush)

@@ -14,6 +14,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,8 +37,7 @@ namespace
 struct ServerFixture
 {
     waveform::DeviceModel dev = waveform::DeviceModel::ibm("bogota");
-    core::CompressedLibrary clib;
-    /** The same library, shared, as Server takes it. */
+    /** The compressed library, shared, as Rack and Server take it. */
     std::shared_ptr<const core::CompressedLibrary> lib;
     circuits::Schedule schedA;
     circuits::Schedule schedB;
@@ -45,12 +45,12 @@ struct ServerFixture
     ServerFixture()
     {
         const auto pulses = waveform::PulseLibrary::build(dev);
-        clib = core::CompressionPipeline::with("int-dct")
-                   .window(16)
-                   .mseTarget(1e-5)
-                   .build()
-                   .compressLibrary(pulses);
-        lib = std::make_shared<const core::CompressedLibrary>(clib);
+        lib = std::make_shared<const core::CompressedLibrary>(
+            core::CompressionPipeline::with("int-dct")
+                .window(16)
+                .mseTarget(1e-5)
+                .build()
+                .compressLibrary(pulses));
 
         circuits::Circuit a(5);
         for (int q = 0; q < 5; ++q)
@@ -71,7 +71,7 @@ struct ServerFixture
         rc.numShards = 2;
         rc.controller.compressed = true;
         rc.controller.windowSize = 16;
-        rc.controller.memoryWidth = clib.worstCaseWindowWords();
+        rc.controller.memoryWidth = lib->worstCaseWindowWords();
         rc.cacheWindows = cache_windows;
         return rc;
     }
@@ -273,6 +273,15 @@ TEST(Server, ConfigDefaultsAreClamped)
     EXPECT_EQ(f.get().status, JobStatus::Completed);
 }
 
+TEST(Server, NullLibraryConstructionThrows)
+{
+    const ServerFixture fx;
+    FleetConfig cfg;
+    cfg.rack = fx.rackConfig();
+    cfg.workers = 1;
+    EXPECT_THROW(Server(fx.dev, nullptr, cfg), std::invalid_argument);
+}
+
 TEST(Server, DrainOnIdleServerReturnsImmediately)
 {
     const ServerFixture fx;
@@ -285,7 +294,7 @@ TEST(Server, PerJobStatsMatchSynchronousExecution)
 {
     const ServerFixture fx;
     // Reference: each schedule alone through the synchronous service.
-    const Rack refRack(fx.dev, fx.clib, fx.rackConfig());
+    const Rack refRack(fx.dev, fx.lib, fx.rackConfig());
     RuntimeService ref(refRack, {.workers = 1});
     const auto refA = ref.executeBatchCompiledPerJob({fx.schedA}).jobs[0];
     const auto refB = ref.executeBatchCompiledPerJob({fx.schedB}).jobs[0];
@@ -311,7 +320,7 @@ TEST(Server, ResultsIdenticalAcrossWorkersAndInterleavings)
     // yields bit-identical per-job RackStats and identical ServerStats
     // volume rollups.
     const ServerFixture fx;
-    const Rack refRack(fx.dev, fx.clib, fx.rackConfig());
+    const Rack refRack(fx.dev, fx.lib, fx.rackConfig());
     RuntimeService ref(refRack, {.workers = 1});
     const auto refA = ref.executeBatchCompiledPerJob({fx.schedA}).jobs[0];
     const auto refB = ref.executeBatchCompiledPerJob({fx.schedB}).jobs[0];
@@ -417,7 +426,7 @@ TEST(Server, OversizedJobFailsAloneAndOthersRerunCleanly)
     const auto oversized = circuits::schedule(big, {});
 
     // Solo references on a fresh rack, in the re-runs' order.
-    const Rack refRack(fx.dev, fx.clib, fx.rackConfig());
+    const Rack refRack(fx.dev, fx.lib, fx.rackConfig());
     RuntimeService ref(refRack, {.workers = 1});
     const auto soloA = ref.executeBatchCompiledPerJob({fx.schedA});
     const auto soloB = ref.executeBatchCompiledPerJob({fx.schedB});
@@ -474,7 +483,7 @@ struct FleetFixture : ServerFixture
 
     FleetFixture()
     {
-        libA = std::make_shared<core::CompressedLibrary>(clib);
+        libA = std::make_shared<core::CompressedLibrary>(*lib);
         const auto pulses = waveform::PulseLibrary::build(dev);
         libB = std::make_shared<core::CompressedLibrary>(
             core::CompressionPipeline::with("int-dct")

@@ -609,17 +609,18 @@ TEST(Trace, FileExportWritesParseableFileAtomically)
 struct RackFixture
 {
     waveform::DeviceModel dev = waveform::DeviceModel::ibm("bogota");
-    core::CompressedLibrary clib;
+    std::shared_ptr<const core::CompressedLibrary> clib;
     std::vector<circuits::Schedule> batch;
 
     RackFixture()
     {
         const auto lib = waveform::PulseLibrary::build(dev);
-        clib = core::CompressionPipeline::with("int-dct")
-                   .window(16)
-                   .mseTarget(1e-5)
-                   .build()
-                   .compressLibrary(lib);
+        clib = std::make_shared<const core::CompressedLibrary>(
+            core::CompressionPipeline::with("int-dct")
+                .window(16)
+                .mseTarget(1e-5)
+                .build()
+                .compressLibrary(lib));
         circuits::Circuit a(5);
         for (int q = 0; q < 5; ++q)
             a.x(q);
@@ -639,7 +640,7 @@ struct RackFixture
         rc.numShards = 2;
         rc.controller.compressed = true;
         rc.controller.windowSize = 16;
-        rc.controller.memoryWidth = clib.worstCaseWindowWords();
+        rc.controller.memoryWidth = clib->worstCaseWindowWords();
         rc.cacheWindows = 4096;
         return rc;
     }

@@ -17,6 +17,7 @@
 #include "core/adaptive.hh"
 #include "core/compressor.hh"
 #include "core/decompressor.hh"
+#include "core/library_compiler.hh"
 #include "uarch/controller.hh"
 #include "uarch/pipeline.hh"
 #include "uarch/resources.hh"
@@ -38,6 +39,37 @@ compressedDrag(std::size_t ws = 16)
     return comp.compress(waveform::drag(144, 36.0, 0.2, 1.2));
 }
 
+/** One playback: the samples trimmed to the channel, and its stats. */
+struct Streamed
+{
+    std::vector<std::int32_t> samples;
+    StreamStats stats;
+};
+
+/** Stream the loaded waveform into a buffer of its window grid. */
+Streamed
+streamLoaded(DecompressionPipeline &pipe)
+{
+    Streamed r;
+    r.samples.resize(pipe.numWindows() * pipe.engine().windowSize());
+    r.stats = pipe.streamInto(r.samples);
+    r.samples.resize(pipe.loadedSamples());
+    return r;
+}
+
+/** Stream a plain or adaptive channel into a buffer of its window
+ *  grid. */
+Streamed
+streamAdaptive(DecompressionPipeline &pipe,
+               const core::CompressedChannel &ch)
+{
+    Streamed r;
+    r.samples.resize(ch.numWindows() * ch.windowSize);
+    r.stats = pipe.streamAdaptiveInto(ch, r.samples);
+    r.samples.resize(ch.numSamples);
+    return r;
+}
+
 // ------------------------------------------------------------------ BRAM
 
 TEST(Bram, InterleavesWordsAcrossBanks)
@@ -50,13 +82,13 @@ TEST(Bram, InterleavesWordsAcrossBanks)
     EXPECT_EQ(mem.storedWords(), 5u);
     EXPECT_EQ(mem.paddedWords(), 6u);
 
-    const auto w0 = mem.fetchWindow(0);
-    ASSERT_EQ(w0.size(), 3u);
-    EXPECT_EQ(w0[0].value, 1);
-    EXPECT_TRUE(w0[2].isRle);
+    std::vector<Word> words(mem.width());
+    ASSERT_EQ(mem.fetchWindowInto(0, words), 3u);
+    EXPECT_EQ(words[0].value, 1);
+    EXPECT_TRUE(words[2].isRle);
 
-    const auto w1 = mem.fetchWindow(1);
-    ASSERT_EQ(w1.size(), 2u); // short window: only occupied banks
+    // Short window: only occupied banks.
+    ASSERT_EQ(mem.fetchWindowInto(1, words), 2u);
     EXPECT_EQ(mem.accesses(), 5u);
 }
 
@@ -73,8 +105,10 @@ TEST(Bram, RejectsOverwideWindows)
 TEST(RleDecoder, ExpandsCodeword)
 {
     RleDecoder dec(8);
-    const auto out = dec.decode(
-        {Word::sample(7), Word::sample(-3), Word::codeword(6)});
+    const std::vector<Word> words = {Word::sample(7), Word::sample(-3),
+                                     Word::codeword(6)};
+    std::vector<std::int32_t> out(8, -1);
+    dec.decodeInto(words, out);
     ASSERT_EQ(out.size(), 8u);
     EXPECT_EQ(out[0], 7);
     EXPECT_EQ(out[1], -3);
@@ -86,7 +120,9 @@ TEST(RleDecoder, ExpandsCodeword)
 TEST(RleDecoder, RejectsMalformedWindow)
 {
     RleDecoder dec(8);
-    EXPECT_DEATH(dec.decode({Word::sample(1)}), "wrong");
+    const std::vector<Word> words = {Word::sample(1)};
+    std::vector<std::int32_t> out(8);
+    EXPECT_DEATH(dec.decodeInto(words, out), "wrong");
 }
 
 // ----------------------------------------------------------- IDCT engine
@@ -96,11 +132,12 @@ TEST(IdctEngine, MatchesSoftwareGoldenModel)
     const auto cw = compressedDrag();
     IdctEngine engine(EngineKind::IntDctW, 16);
     const dsp::IntDct golden(16);
+    std::vector<std::int32_t> coeffs(16), expect(16), got(16);
     for (const auto &w : cw.i.windows) {
-        const auto coeffs = core::Decompressor::expandWindowInt(w, 16);
-        std::vector<std::int32_t> expect(16);
+        core::Decompressor::expandWindowIntInto(w, coeffs);
         golden.inverse(coeffs, expect);
-        EXPECT_EQ(engine.transform(coeffs), expect);
+        engine.transformInto(coeffs, got);
+        EXPECT_EQ(got, expect);
     }
     EXPECT_EQ(engine.invocations(), cw.i.windows.size());
 }
@@ -114,7 +151,9 @@ TEST(IdctEngine, IntEngineHasSingleCycleLatency)
 TEST(IdctEngine, OpCountsMultiplierless)
 {
     IdctEngine engine(EngineKind::IntDctW, 8);
-    engine.transform(std::vector<std::int32_t>(8, 50));
+    const std::vector<std::int32_t> coeffs(8, 50);
+    std::vector<std::int32_t> out(8);
+    engine.transformInto(coeffs, out);
     EXPECT_EQ(engine.ops().multipliers(), 0);
     EXPECT_GT(engine.ops().adders(), 20);
     EXPECT_GT(engine.ops().shifters(), 10);
@@ -123,7 +162,9 @@ TEST(IdctEngine, OpCountsMultiplierless)
 TEST(IdctEngine, LoefflerCountsForDctW)
 {
     IdctEngine engine(EngineKind::DctW, 8);
-    engine.transform(std::vector<std::int32_t>(8, 50));
+    const std::vector<std::int32_t> coeffs(8, 50);
+    std::vector<std::int32_t> out(8);
+    engine.transformInto(coeffs, out);
     EXPECT_EQ(engine.ops().multipliers(), 11);
     EXPECT_EQ(engine.ops().adders(), 29);
 }
@@ -136,7 +177,7 @@ TEST(Pipeline, StreamsBitExactSamples)
     DecompressionPipeline pipe(EngineKind::IntDctW, 16,
                                cw.worstCaseWindowWords());
     pipe.load(cw.i);
-    const auto result = pipe.stream();
+    const auto result = streamLoaded(pipe);
 
     core::Decompressor dec;
     const auto golden = dec.decompressChannel(cw.i,
@@ -156,7 +197,7 @@ TEST(Pipeline, BandwidthExpansionNearWindowSize)
     DecompressionPipeline pipe(EngineKind::IntDctW, 16,
                                cw.worstCaseWindowWords());
     pipe.load(cw.i);
-    const auto result = pipe.stream();
+    const auto result = streamLoaded(pipe);
     EXPECT_GT(result.stats.samplesPerCycle(), 10.0);
     EXPECT_LE(result.stats.samplesPerCycle(), 16.0);
 }
@@ -167,7 +208,7 @@ TEST(Pipeline, ReadsOnlyStoredWords)
     DecompressionPipeline pipe(EngineKind::IntDctW, 16,
                                cw.worstCaseWindowWords());
     pipe.load(cw.i);
-    const auto result = pipe.stream();
+    const auto result = streamLoaded(pipe);
     EXPECT_EQ(result.stats.wordsRead, cw.i.totalWords());
     EXPECT_LT(result.stats.wordsRead, result.stats.samplesOut);
 }
@@ -185,7 +226,7 @@ TEST_P(PipelineWs, BitExactAtEveryWindowSize)
     core::Decompressor dec;
     for (const auto *ch : {&cw.i, &cw.q}) {
         pipe.load(*ch);
-        const auto hw = pipe.stream();
+        const auto hw = streamLoaded(pipe);
         const auto sw =
             dec.decompressChannel(*ch, "int-dct");
         ASSERT_EQ(hw.samples.size(), sw.size());
@@ -202,7 +243,7 @@ TEST_P(PipelineWs, ThroughputApproachesWindowSize)
     DecompressionPipeline pipe(EngineKind::IntDctW, ws,
                                cw.worstCaseWindowWords());
     pipe.load(cw.i);
-    const auto r = pipe.stream();
+    const auto r = streamLoaded(pipe);
     // Steady-state throughput is one window per cycle; fill latency
     // costs a few cycles, which a short 144-sample pulse feels most
     // at WS=32 (5 windows + 3 fill cycles).
@@ -223,7 +264,7 @@ TEST(Pipeline, AdaptiveBypassSkipsIdct)
 
     // Generous width: the fixed-threshold ramps may exceed 3 words.
     DecompressionPipeline pipe(EngineKind::IntDctW, 16, 16);
-    const auto result = pipe.streamAdaptive(ac.i);
+    const auto result = streamAdaptive(pipe, ac.i);
     EXPECT_GT(result.stats.bypassSamples, 800u);
     EXPECT_EQ(result.stats.bypassSamples, ac.i.bypassSamples());
     // Only ramp windows touched the IDCT engine.
@@ -240,15 +281,15 @@ TEST(Pipeline, AdaptiveBypassSkipsIdct)
 TEST(Pipeline, StreamAdaptiveHandlesPlainChannels)
 {
     // A channel the segmenter left plain streams identically through
-    // streamAdaptive and the load()+stream() path.
+    // streamAdaptiveInto and the load()+streamInto() path.
     core::CompressorConfig cfg{"int-dct", 16, 1e-3};
     const core::Compressor comp(cfg);
     const auto cw = comp.compress(waveform::drag(144, 36.0, 0.2, 1.2));
     DecompressionPipeline a(EngineKind::IntDctW, 16, 16);
     DecompressionPipeline b(EngineKind::IntDctW, 16, 16);
-    const auto viaAdaptive = a.streamAdaptive(cw.i);
+    const auto viaAdaptive = streamAdaptive(a, cw.i);
     b.load(cw.i);
-    const auto direct = b.stream();
+    const auto direct = streamLoaded(b);
     EXPECT_EQ(viaAdaptive.samples, direct.samples);
     EXPECT_EQ(viaAdaptive.stats.bypassSamples, 0u);
     EXPECT_EQ(viaAdaptive.stats.idctWindows,
@@ -268,7 +309,19 @@ class ControllerTest : public ::testing::Test
         core::FidelityAwareConfig cfg;
         cfg.base.codec = "int-dct";
         cfg.base.windowSize = 16;
-        clib_ = core::CompressedLibrary::build(lib_, cfg);
+        clib_ = compileSerial(cfg);
+    }
+
+    /** The serial single-codec compile: one worker, no per-channel
+     *  planning. */
+    core::CompressedLibrary
+    compileSerial(const core::FidelityAwareConfig &cfg) const
+    {
+        return core::LibraryCompiler({.fidelity = cfg,
+                                      .workers = 1,
+                                      .planPerChannel = false})
+            .compile(lib_)
+            .library;
     }
 
     waveform::DeviceModel dev_ = waveform::DeviceModel::ibm("bogota");
@@ -280,12 +333,13 @@ TEST_F(ControllerTest, QubitCapacityMatchesTableV)
 {
     ControllerConfig uc;
     uc.compressed = false;
-    const Controller base(uc, clib_);
+    const Controller base(uc);
     ControllerConfig cc;
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = 3;
-    const Controller comp(cc, clib_);
+    EXPECT_NO_THROW(Controller::validateLibrary(cc, clib_));
+    const Controller comp(cc);
     // ratio 16: uncompressed 16 banks/channel; compressed 3.
     EXPECT_EQ(base.banksPerChannel(), 16u);
     EXPECT_EQ(comp.banksPerChannel(), 3u);
@@ -301,28 +355,39 @@ TEST_F(ControllerTest, PlayGateMatchesGoldenDecode)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = clib_.worstCaseWindowWords();
-    Controller ctl(cc, clib_);
-    const waveform::GateId id{waveform::GateType::X, 3, -1};
-    const auto r = ctl.playGate(id);
-    core::Decompressor dec;
-    const auto golden = dec.decompressChannel(
-        clib_.entry(id).cw.i, "int-dct");
-    EXPECT_EQ(r.samples.size(), golden.size());
+    Controller::validateLibrary(cc, clib_);
+    const Controller ctl(cc);
+    const core::Decompressor dec;
+    std::vector<std::int32_t> out;
+    std::size_t played = 0;
+    for (const auto &[id, e] : clib_.entries()) {
+        out.assign(e.cw.i.numWindows() * cc.windowSize, 0);
+        const auto stats = ctl.playGateInto(clib_, id, out);
+        const auto golden = dec.decompressChannel(e.cw.i, e.cw.codec);
+        ASSERT_EQ(stats.samplesOut, golden.size())
+            << waveform::toString(id);
+        for (std::size_t k = 0; k < golden.size(); ++k)
+            ASSERT_EQ(out[k], dsp::IntDct::quantize(golden[k]))
+                << waveform::toString(id) << " k=" << k;
+        ++played;
+    }
+    EXPECT_EQ(played, lib_.size());
 }
 
 TEST_F(ControllerTest, RejectsWindowSizeMismatch)
 {
     // Library compressed at WS=8, controller configured for WS=16: a
-    // silent mismatch would stream garbage, so construction throws.
+    // silent mismatch would stream garbage, so validation throws.
     core::FidelityAwareConfig fcfg;
     fcfg.base.codec = "int-dct";
     fcfg.base.windowSize = 8;
-    const auto clib8 = core::CompressedLibrary::build(lib_, fcfg);
+    const auto clib8 = compileSerial(fcfg);
     ControllerConfig cc;
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = clib8.worstCaseWindowWords();
-    EXPECT_THROW(Controller(cc, clib8), std::invalid_argument);
+    EXPECT_THROW(Controller::validateLibrary(cc, clib8),
+                 std::invalid_argument);
 }
 
 TEST_F(ControllerTest, RejectsNonIntegerCodec)
@@ -330,12 +395,13 @@ TEST_F(ControllerTest, RejectsNonIntegerCodec)
     core::FidelityAwareConfig fcfg;
     fcfg.base.codec = "dct-w";
     fcfg.base.windowSize = 16;
-    const auto float_lib = core::CompressedLibrary::build(lib_, fcfg);
+    const auto float_lib = compileSerial(fcfg);
     ControllerConfig cc;
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = 16;
-    EXPECT_THROW(Controller(cc, float_lib), std::invalid_argument);
+    EXPECT_THROW(Controller::validateLibrary(cc, float_lib),
+                 std::invalid_argument);
 }
 
 TEST_F(ControllerTest, RejectsOverflowingMemoryWidth)
@@ -344,7 +410,8 @@ TEST_F(ControllerTest, RejectsOverflowingMemoryWidth)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = 1; // guadalupe needs more words per window
-    EXPECT_THROW(Controller(cc, clib_), std::invalid_argument);
+    EXPECT_THROW(Controller::validateLibrary(cc, clib_),
+                 std::invalid_argument);
 }
 
 TEST_F(ControllerTest, UncompressedModeSkipsLibraryValidation)
@@ -354,10 +421,10 @@ TEST_F(ControllerTest, UncompressedModeSkipsLibraryValidation)
     core::FidelityAwareConfig fcfg;
     fcfg.base.codec = "dct-w";
     fcfg.base.windowSize = 8;
-    const auto float_lib = core::CompressedLibrary::build(lib_, fcfg);
+    const auto float_lib = compileSerial(fcfg);
     ControllerConfig uc;
     uc.compressed = false;
-    EXPECT_NO_THROW(Controller(uc, float_lib));
+    EXPECT_NO_THROW(Controller::validateLibrary(uc, float_lib));
 }
 
 TEST_F(ControllerTest, ExecuteEmptyScheduleIsZeroAndFeasible)
@@ -366,8 +433,8 @@ TEST_F(ControllerTest, ExecuteEmptyScheduleIsZeroAndFeasible)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = clib_.worstCaseWindowWords();
-    const Controller ctl(cc, clib_);
-    const auto stats = ctl.execute(circuits::Schedule{});
+    const Controller ctl(cc);
+    const auto stats = ctl.execute(circuits::Schedule{}, clib_);
     EXPECT_EQ(stats.peakBanks, 0u);
     EXPECT_EQ(stats.peakChannels, 0);
     EXPECT_TRUE(stats.feasible);
@@ -383,12 +450,12 @@ TEST_F(ControllerTest, ExecuteCountsGatesMissingFromLibrary)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = clib_.worstCaseWindowWords();
-    const Controller ctl(cc, clib_);
+    const Controller ctl(cc);
 
     circuits::Circuit c(16);
     c.x(0);
     c.cx(0, 9); // (0, 9) is not a guadalupe coupler: no CX waveform
-    const auto stats = ctl.execute(circuits::schedule(c, {}));
+    const auto stats = ctl.execute(circuits::schedule(c, {}), clib_);
     EXPECT_EQ(stats.missingGates, 1u);
     // The played X still contributes sane demand.
     EXPECT_EQ(stats.peakChannels, cc.channelsPerQubit);
@@ -403,12 +470,12 @@ TEST_F(ControllerTest, ExecuteReportsInfeasibleBankBudget)
     cc.windowSize = 16;
     cc.memoryWidth = clib_.worstCaseWindowWords();
     cc.totalBrams = 4; // below even one channel pair's banks
-    const Controller ctl(cc, clib_);
+    const Controller ctl(cc);
 
     circuits::Circuit c(4);
     for (int q = 0; q < 4; ++q)
         c.x(q); // four concurrent drives
-    const auto stats = ctl.execute(circuits::schedule(c, {}));
+    const auto stats = ctl.execute(circuits::schedule(c, {}), clib_);
     EXPECT_FALSE(stats.feasible);
     EXPECT_GT(stats.peakBanks, cc.totalBrams);
     EXPECT_EQ(stats.peakChannels, 4 * cc.channelsPerQubit);
@@ -426,7 +493,7 @@ TEST_F(ControllerTest, ExecuteSurfaceCodeSchedule)
     cc.compressed = true;
     cc.windowSize = 16;
     cc.memoryWidth = 3;
-    Controller ctl(cc, clib_);
+    const Controller ctl(cc);
     // Surface-17 uses qubits beyond guadalupe's library, so only run
     // the static capacity check here.
     EXPECT_GE(ctl.maxConcurrentQubits(), sc.totalQubits());
