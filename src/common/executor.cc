@@ -1,18 +1,20 @@
 #include "common/executor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace compaqt::common
 {
 
-Executor::Executor(int workers)
+Executor::Executor(int workers, int callers)
     : workers_(workers)
 {
-    COMPAQT_REQUIRE(workers >= 1, "executor needs at least one worker");
-    threads_.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w)
-        threads_.emplace_back(
-            [this, w] { workerLoop(static_cast<std::size_t>(w)); });
+    COMPAQT_REQUIRE(callers >= 1 && workers >= callers,
+                    "executor needs a caller and a worker per caller");
+    threads_.reserve(static_cast<std::size_t>(workers - callers));
+    for (int t = callers; t < workers; ++t)
+        threads_.emplace_back([this] { helpUntil([this] { return stop_; }); });
 }
 
 int
@@ -28,15 +30,17 @@ Executor::~Executor()
         std::lock_guard lock(mu_);
         stop_ = true;
     }
-    wake_.notify_all();
+    notify();
     for (auto &t : threads_)
         t.join();
 }
 
 void
-Executor::drain(Batch &batch, std::size_t worker)
+Executor::drain(std::unique_lock<std::mutex> &lock, Batch &batch,
+                std::size_t worker)
 {
     std::size_t ran = 0;
+    std::exception_ptr error;
     for (;;) {
         const std::size_t i = batch.next.fetch_add(1);
         if (i >= batch.n)
@@ -44,36 +48,53 @@ Executor::drain(Batch &batch, std::size_t worker)
         try {
             (*batch.fn)(worker, i);
         } catch (...) {
-            std::lock_guard lock(mu_);
-            if (!batch.error)
-                batch.error = std::current_exception();
+            if (!error)
+                error = std::current_exception();
         }
         ++ran;
     }
-    std::lock_guard lock(mu_);
+    lock.lock();
+    // Every job is claimed: the batch takes no more threads.
+    std::erase_if(open_, [&](const auto &b) { return b.get() == &batch; });
+    if (error && !batch.error)
+        batch.error = error;
     batch.completed += ran;
     if (batch.completed == batch.n)
-        done_.notify_all();
+        batch.done.notify_all();
 }
 
 void
-Executor::workerLoop(std::size_t worker)
+Executor::helpUntil(const std::function<bool()> &ready)
 {
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::shared_ptr<Batch> batch;
-        {
-            std::unique_lock lock(mu_);
-            wake_.wait(lock, [&] {
-                return stop_ || (current_ && generation_ != seen);
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-            batch = current_;
+    std::unique_lock lock(mu_);
+    while (!ready()) {
+        if (open_.empty()) {
+            Sleeper me;
+            me.ready = &ready;
+            sleepers_.push_back(&me);
+            me.cv.wait(lock, [&] { return me.woken; });
+            continue;
         }
-        drain(*batch, worker);
+        const std::shared_ptr<Batch> batch = open_.front();
+        const std::size_t worker = ++batch->joined;
+        lock.unlock();
+        drain(lock, *batch, worker);
     }
+}
+
+void
+Executor::notify()
+{
+    // Wake only the sleepers whose condition now holds: a thread woken
+    // to find nothing to do still costs a CPU wake-up.
+    std::lock_guard lock(mu_);
+    std::erase_if(sleepers_, [](Sleeper *s) {
+        if (!(*s->ready)())
+            return false;
+        s->woken = true;
+        s->cv.notify_one();
+        return true;
+    });
 }
 
 void
@@ -91,42 +112,26 @@ Executor::forEachWorker(
 {
     if (n == 0)
         return;
-    if (workers_ == 1) {
-        // Inline path: same semantics as the pool — every job runs,
-        // the first exception is rethrown after the batch drains.
-        std::exception_ptr first;
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fn(0, i);
-            } catch (...) {
-                if (!first)
-                    first = std::current_exception();
-            }
-        }
-        if (first)
-            std::rethrow_exception(first);
-        return;
-    }
+    // Published even without pool threads: a thread in helpUntil()
+    // may take jobs of it.
     auto batch = std::make_shared<Batch>();
     batch->fn = &fn;
     batch->n = n;
-    {
-        std::lock_guard lock(mu_);
-        current_ = batch;
-        ++generation_;
+    std::unique_lock lock(mu_);
+    open_.push_back(batch);
+    // One sleeper per job but the one the caller starts on, the most
+    // recently idle first.
+    for (std::size_t k = 1; k < n && !sleepers_.empty(); ++k) {
+        Sleeper *s = sleepers_.back();
+        sleepers_.pop_back();
+        s->woken = true;
+        s->cv.notify_one();
     }
-    wake_.notify_all();
-    drain(*batch, 0);
-    std::exception_ptr error;
-    {
-        std::unique_lock lock(mu_);
-        done_.wait(lock,
-                   [&] { return batch->completed == batch->n; });
-        current_.reset();
-        error = batch->error;
-    }
-    if (error)
-        std::rethrow_exception(error);
+    lock.unlock();
+    drain(lock, *batch, 0);
+    batch->done.wait(lock, [&] { return batch->completed == batch->n; });
+    if (batch->error)
+        std::rethrow_exception(batch->error);
 }
 
 } // namespace compaqt::common

@@ -20,16 +20,6 @@ Decompressor::expandWindowIntInto(const CompressedWindow &w,
     dsp::simd::zeroRunInt32(out.data() + w.icoeffs.size(), w.zeros);
 }
 
-void
-Decompressor::expandWindowFloatInto(const CompressedWindow &w,
-                                    SampleSpan out)
-{
-    COMPAQT_REQUIRE(w.fcoeffs.size() + w.zeros == out.size(),
-                    "expanded window has wrong size");
-    std::copy(w.fcoeffs.begin(), w.fcoeffs.end(), out.begin());
-    dsp::simd::fillDoubles(out.data() + w.fcoeffs.size(), w.zeros, 0.0);
-}
-
 namespace
 {
 

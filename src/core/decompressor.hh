@@ -124,10 +124,6 @@ class Decompressor
     static void expandWindowIntInto(const CompressedWindow &w,
                                     std::span<std::int32_t> out);
 
-    /** Float-path window expansion into caller memory. */
-    static void expandWindowFloatInto(const CompressedWindow &w,
-                                      SampleSpan out);
-
   private:
     static const ICodec &codec(std::string_view name, std::size_t ws);
 };

@@ -96,17 +96,6 @@ emitPlays(InstructionProgram &prog, const Issued &e,
     } while (first < nwin);
 }
 
-/** True when window `w` of a channel occupies a cache slot when
- *  played (flat bypass windows never do). */
-bool
-windowIsCacheable(const core::CompressedChannel &ch, std::uint32_t w)
-{
-    if (!ch.isAdaptive())
-        return true;
-    std::size_t local = 0;
-    return !ch.segmentForWindow(w, local).isFlat;
-}
-
 } // namespace
 
 Compiler::Compiler(const runtime::Rack &rack, const CompilerConfig &cfg)
@@ -251,10 +240,25 @@ Compiler::compileShard(const circuits::Schedule &part,
             for (std::uint8_t ch = 0; ch < 2; ++ch) {
                 const auto &channel =
                     ch == 0 ? e.entry->cw.i : e.entry->cw.q;
-                for (std::uint32_t w = 0; w < e.nwin[ch]; ++w)
-                    if (windowIsCacheable(channel, w))
+                // Every window occupies a memory slot when played but
+                // an adaptive channel's flat bypass windows.
+                const auto candidates = [&](std::size_t lo,
+                                            std::size_t hi) {
+                    for (auto w = static_cast<std::uint32_t>(lo); w < hi;
+                         ++w)
                         items.push_back(
                             {i, e.issue, e.ref, ch, w, tier, false});
+                };
+                if (!channel.isAdaptive())
+                    candidates(0, e.nwin[ch]);
+                else
+                    channel.forEachSegmentRun(
+                        0, e.nwin[ch],
+                        [&](const core::AdaptiveSegment &seg,
+                            std::size_t lo, std::size_t hi, std::size_t) {
+                            if (!seg.isFlat)
+                                candidates(lo, hi);
+                        });
             }
         }
     }

@@ -171,10 +171,15 @@ Server::Server(const waveform::DeviceModel &dev,
     cfg_.virtualNodes = std::max(1, cfg_.virtualNodes);
     spill_ = cfg_.spillQueueDepth > 0 ? cfg_.spillQueueDepth
                                       : cfg_.maxBatch;
-    const int workers =
-        cfg_.workers >= 1 ? cfg_.workers
-                          : common::Executor::defaultWorkerCount();
+    cfg_.workers = cfg_.workers >= 1
+                       ? cfg_.workers
+                       : common::Executor::defaultWorkerCount();
     registry_ = std::make_shared<LibraryRegistry>(std::move(lib));
+    // One pool for the fleet: each dispatcher is a caller and counts as
+    // one of its rack's workers, so racks x workers threads run in all
+    // and an idle dispatcher plays other racks' cells.
+    exec_ = std::make_shared<common::Executor>(cfg_.racks * cfg_.workers,
+                                               cfg_.racks);
     auto &reg = telemetry::Registry::global();
     lanes_.reserve(static_cast<std::size_t>(cfg_.racks));
     for (int i = 0; i < cfg_.racks; ++i) {
@@ -184,8 +189,7 @@ Server::Server(const waveform::DeviceModel &dev,
         // publish recalibrates the whole fleet.
         lane->rack = std::make_unique<Rack>(dev, registry_, cfg_.rack);
         lane->svc = std::make_unique<RuntimeService>(
-            *lane->rack,
-            ServiceConfig{workers, cfg_.programCacheEntries});
+            *lane->rack, exec_, cfg_.programCacheEntries);
         lane->jobsCounter = &reg.counter(
             "fleet.rack." + std::to_string(i) + ".jobs");
         const auto idx = static_cast<std::size_t>(i);
@@ -204,12 +208,6 @@ Server::Server(const waveform::DeviceModel &dev,
 Server::~Server()
 {
     shutdown();
-}
-
-int
-Server::workers() const
-{
-    return lanes_.front()->svc->workers();
 }
 
 const Rack &
@@ -331,7 +329,7 @@ Server::submit(ScheduledCircuit job)
     }
     metrics.queuedNow.set(static_cast<double>(queued_now));
     COMPAQT_TRACE_INSTANT("job", "job.submit", "queued", queued_now);
-    lane->work.notify_one();
+    exec_->notify();
     return fut;
 }
 
@@ -349,8 +347,7 @@ Server::resume()
         std::lock_guard lock(mu_);
         paused_ = false;
     }
-    for (auto &lane : lanes_)
-        lane->work.notify_one();
+    exec_->notify();
 }
 
 void
@@ -374,8 +371,7 @@ Server::shutdown()
         std::lock_guard lock(mu_);
         stop_ = true;
     }
-    for (auto &lane : lanes_)
-        lane->work.notify_all();
+    exec_->notify();
     for (auto &lane : lanes_)
         if (lane->dispatcher.joinable())
             lane->dispatcher.join();
@@ -437,15 +433,23 @@ Server::cancelQueued()
 void
 Server::dispatchLoop(Lane &lane)
 {
+    // Must hold mu_.
+    const auto hasWork = [&] {
+        return stop_ || (!paused_ && !lane.queue.empty());
+    };
     for (;;) {
+        // Idle: play other racks' grid cells until this rack has work.
+        exec_->helpUntil([&] {
+            std::lock_guard lock(mu_);
+            return hasWork();
+        });
         std::vector<Pending> taken;
         {
-            std::unique_lock lock(mu_);
-            lane.work.wait(lock, [&] {
-                return stop_ || (!paused_ && !lane.queue.empty());
-            });
+            std::lock_guard lock(mu_);
             if (stop_)
                 break;
+            if (!hasWork())
+                continue; // paused since the check
             const std::size_t take =
                 std::min(cfg_.maxBatch, lane.queue.size());
             taken.reserve(take);
@@ -459,8 +463,8 @@ Server::dispatchLoop(Lane &lane)
 
         // Execute the coalesced batch outside the lock: tenants keep
         // submitting (and hitting admission control) while the rack
-        // runs. The executor inside RuntimeService provides all the
-        // execution parallelism — this thread only marshals.
+        // runs. This thread plays cells of its own grid alongside the
+        // fleet pool's threads and idle dispatchers.
         COMPAQT_TRACE_SPAN("batch", "batch.dispatch", "jobs",
                            taken.size(), "rack",
                            static_cast<std::uint64_t>(lane.index));

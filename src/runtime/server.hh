@@ -8,7 +8,7 @@
  * compressed-memory fleet).
  *
  * Topology: N racks, each with its own bounded queue, dispatcher
- * thread, and RuntimeService worker pool, all bound to ONE shared
+ * thread, and RuntimeService, all bound to ONE shared
  * LibraryRegistry — a single swapLibrary() recalibrates the whole
  * fleet atomically, and in-flight batches finish on the epoch they
  * pinned (RCU-style: the swap never drains, never blocks
@@ -24,8 +24,16 @@
  * with a Rejected status. Each rack's dispatcher pops its queue in
  * FIFO order, coalesces jobs from different tenants into rack
  * batches of up to maxBatch, and executes them through that rack's
- * RuntimeService — the serving plane adds exactly one thread per
- * rack, never a second worker pool.
+ * RuntimeService. Every service runs its grid on ONE fleet-wide
+ * common::Executor: a rack's dispatcher counts as one of its
+ * `workers`, the pool holds the other racks x (workers - 1) threads,
+ * and a dispatcher whose queue is empty lends itself to the pool, so
+ * the (circuit, shard) cells of a busy rack's grid spread over every
+ * idle thread of the fleet. A fleet of R racks x W workers runs
+ * exactly R x W threads. Lock order: the executor's mutex comes
+ * before the server's — a dispatcher's helpUntil() condition takes
+ * the server mutex under the executor's — so nothing calls into the
+ * executor while holding the server mutex.
  *
  * Every job carries enqueue -> dispatch -> complete timestamps;
  * ServerStats rolls queue/execute/total latency into p50/p95/p99/
@@ -170,7 +178,9 @@ struct FleetConfig
     int racks = 1;
     /** Per-rack static configuration. */
     RackConfig rack;
-    /** Execution workers per rack; <= 0 picks
+    /** Execution workers per rack, its dispatcher included; the
+     *  fleet's racks x workers threads form one pool that plays any
+     *  rack's grid cells. <= 0 picks
      *  common::Executor::defaultWorkerCount() (hardware concurrency
      *  clamped to >= 1). */
     int workers = 0;
@@ -306,7 +316,8 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    int workers() const;
+    /** Execution workers per rack (FleetConfig::workers, resolved). */
+    int workers() const { return cfg_.workers; }
     int numRacks() const { return static_cast<int>(lanes_.size()); }
     std::size_t queueDepth() const { return cfg_.queueDepth; }
     std::size_t maxBatch() const { return cfg_.maxBatch; }
@@ -395,15 +406,15 @@ class Server
     /** One rack's serving lane: the rack it owns, its
      *  RuntimeService, its queue, and its dispatcher. Queue and
      *  accumulators are guarded by the server-wide mu_ (routing needs
-     *  a consistent view of every queue anyway); the cv is per lane
-     *  so a submit wakes only the home rack's dispatcher. */
+     *  a consistent view of every queue anyway); an idle dispatcher
+     *  waits in the fleet executor's helpUntil(), woken by its
+     *  notify(). */
     struct Lane
     {
         int index = 0;
         std::unique_ptr<Rack> rack;
         std::unique_ptr<RuntimeService> svc;
         std::deque<Pending> queue;
-        std::condition_variable work;
         bool busy = false;
         std::uint64_t completed = 0;
         std::uint64_t failed = 0;
@@ -435,6 +446,8 @@ class Server
     /** Queue length beyond which consistent-hash spills. */
     std::size_t spill_ = 0;
     std::shared_ptr<LibraryRegistry> registry_;
+    /** The fleet pool every lane's RuntimeService runs its grid on. */
+    std::shared_ptr<common::Executor> exec_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     /** Consistent-hash ring: (hash, lane index), sorted by hash. */
     std::vector<std::pair<std::uint64_t, std::size_t>> ring_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "isa/interpreter.hh"
 #include "runtime/playback.hh"
@@ -208,7 +209,15 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
 
 RuntimeService::RuntimeService(const Rack &rack,
                                const ServiceConfig &cfg)
-    : rack_(rack), exec_(cfg.workers), plans_(cfg.programCacheEntries)
+    : RuntimeService(rack, std::make_shared<common::Executor>(cfg.workers),
+                     cfg.programCacheEntries)
+{
+}
+
+RuntimeService::RuntimeService(const Rack &rack,
+                               std::shared_ptr<common::Executor> exec,
+                               std::size_t programCacheEntries)
+    : rack_(rack), exec_(std::move(exec)), plans_(programCacheEntries)
 {
 }
 
@@ -247,7 +256,7 @@ RuntimeService::executeBatchCompiledPerJob(
         }
         plans.push_back(std::move(plan));
     }
-    return runGrid(rack_, vlib, exec_, plans, logs_, t0);
+    return runGrid(rack_, vlib, *exec_, plans, logs_, t0);
 }
 
 } // namespace compaqt::runtime

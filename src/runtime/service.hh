@@ -24,6 +24,7 @@
 #define COMPAQT_RUNTIME_SERVICE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "circuits/scheduler.hh"
@@ -153,9 +154,14 @@ struct BatchExecution
 class RuntimeService
 {
   public:
+    /** Runs its grid on its own Executor of cfg.workers threads. */
     RuntimeService(const Rack &rack, const ServiceConfig &cfg = {});
 
-    int workers() const { return exec_.workers(); }
+    /** Runs its grid on `exec`, which it may share with other
+     *  services (runtime::Server's fleet pool). */
+    RuntimeService(const Rack &rack,
+                   std::shared_ptr<common::Executor> exec,
+                   std::size_t programCacheEntries);
 
     /**
      * Execute a batch with per-schedule rollups (see BatchExecution);
@@ -187,7 +193,7 @@ class RuntimeService
 
   private:
     const Rack &rack_;
-    common::Executor exec_;
+    std::shared_ptr<common::Executor> exec_;
     /** Compiled plans, shared across batches so steady-state serving
      *  of a repeating workload skips partition, demand accounting and
      *  the compiler entirely. */

@@ -207,6 +207,8 @@ struct TieredWindowStore::Model
     struct Run
     {
         RunKey key;
+        /** RunHash of key, the base of every window's sketch key. */
+        std::uint64_t hash = 0;
         std::unique_ptr<Node[]> nodes;
         std::uint32_t windows = 0;
         std::uint32_t iWindows = 0;
@@ -236,7 +238,8 @@ struct TieredWindowStore::Model
         auto [it, fresh] = runs.try_emplace(key);
         Run &run = it->second;
         if (fresh) {
-            run = {key, std::make_unique<Node[]>(e.windows), e.windows,
+            run = {key, RunHash{}(key),
+                   std::make_unique<Node[]>(e.windows), e.windows,
                    e.iWindows, e.windowSize};
             for (std::uint32_t w = 0; w < run.windows; ++w)
                 run.nodes[w].run = &run;
@@ -512,8 +515,7 @@ struct TieredWindowStore::Model
         const auto index =
             static_cast<std::uint32_t>(&n - run.nodes.get());
         const std::uint64_t q = index >= run.iWindows ? 1 : 0;
-        return mix64(RunHash{}(run.key) ^
-                     (q << 32 | (index - q * run.iWindows)));
+        return mix64(run.hash ^ (q << 32 | (index - q * run.iWindows)));
     }
 
     const TieredStoreConfig &cfg;

@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <future>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -430,6 +433,127 @@ TEST(Executor, WorkerExceptionDoesNotAbandonRemainingJobs)
                  std::runtime_error);
     for (auto &r : runs)
         ASSERT_EQ(r.load(), 1);
+}
+
+TEST(Executor, ConcurrentCallersRunEveryJobOnce)
+{
+    // Two threads run forEach on one executor at the same time: both
+    // batches sit in the open FIFO together, and every job of each
+    // runs exactly once whichever thread claims it.
+    common::Executor exec(4, 2);
+    std::vector<std::atomic<int>> runs_a(500), runs_b(500);
+    std::barrier start(2);
+    const auto caller = [&](std::vector<std::atomic<int>> &runs) {
+        start.arrive_and_wait();
+        for (int round = 0; round < 20; ++round)
+            exec.forEach(runs.size(),
+                         [&](std::size_t i) { runs[i].fetch_add(1); });
+    };
+    std::thread a([&] { caller(runs_a); });
+    std::thread b([&] { caller(runs_b); });
+    a.join();
+    b.join();
+    for (std::size_t i = 0; i < runs_a.size(); ++i) {
+        ASSERT_EQ(runs_a[i].load(), 20) << i;
+        ASSERT_EQ(runs_b[i].load(), 20) << i;
+    }
+}
+
+/** Job 0 waits for job 1 (with a timeout that throws instead of
+ *  hanging), so the two jobs of a batch must run on two threads. */
+void
+runTwoJobsOnTwoThreads(common::Executor &exec,
+                       const std::function<void(std::size_t)> &body)
+{
+    std::promise<void> released;
+    auto job1_ran = released.get_future();
+    exec.forEach(2, [&](std::size_t i) {
+        if (i == 1) {
+            released.set_value();
+        } else if (job1_ran.wait_for(std::chrono::seconds(30)) !=
+                   std::future_status::ready) {
+            throw std::runtime_error("no other thread ran job 1");
+        }
+        body(i);
+    });
+}
+
+/** A thread lent to an executor through helpUntil() until destroyed. */
+struct LentThread
+{
+    common::Executor &exec;
+    std::atomic<bool> done{false};
+    std::promise<void> started;
+    std::thread::id id;
+    std::thread thread;
+
+    explicit LentThread(common::Executor &e) : exec(e)
+    {
+        thread = std::thread([this] {
+            id = std::this_thread::get_id();
+            started.set_value();
+            exec.helpUntil([this] { return done.load(); });
+        });
+        started.get_future().wait();
+    }
+
+    ~LentThread()
+    {
+        done = true;
+        exec.notify();
+        thread.join();
+    }
+};
+
+TEST(Executor, HelperRunsAnotherCallersJob)
+{
+    // No pool threads: the only thread besides the caller is one lent
+    // through helpUntil(), so it must run one of the two jobs.
+    common::Executor exec(2, 2);
+    const LentThread helper(exec);
+    std::vector<std::thread::id> ran_on(2);
+    EXPECT_NO_THROW(runTwoJobsOnTwoThreads(exec, [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+    }));
+    EXPECT_NE(ran_on[0], ran_on[1]);
+    EXPECT_TRUE(ran_on[0] == helper.id || ran_on[1] == helper.id);
+}
+
+TEST(Executor, HelpUntilReturnsAfterNotifyOnceReady)
+{
+    common::Executor exec(2, 2);
+    std::atomic<bool> ready{false};
+    std::promise<void> returned;
+    auto has_returned = returned.get_future();
+    std::thread helper([&] {
+        exec.helpUntil([&] { return ready.load(); });
+        returned.set_value();
+    });
+    // A notify while the condition is false leaves the helper lent.
+    exec.notify();
+    EXPECT_EQ(has_returned.wait_for(std::chrono::milliseconds(50)),
+              std::future_status::timeout);
+    ready = true;
+    exec.notify();
+    EXPECT_EQ(has_returned.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    helper.join();
+}
+
+TEST(Executor, HelperJobExceptionReachesBatchCaller)
+{
+    common::Executor exec(2, 2);
+    const LentThread helper(exec);
+    std::string what;
+    try {
+        runTwoJobsOnTwoThreads(exec, [&](std::size_t) {
+            if (std::this_thread::get_id() == helper.id)
+                throw std::runtime_error("helper job failed");
+        });
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    EXPECT_EQ(what, "helper job failed");
 }
 
 } // namespace

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -573,6 +575,43 @@ TEST(FleetServer, LeastLoadedRoutingCompletesEverything)
         ASSERT_EQ(f.get().status, JobStatus::Completed);
     server.drain();
     EXPECT_EQ(server.stats().completed, 12u);
+}
+
+/** Threads of this process, one /proc/self/task entry each. */
+std::size_t
+processThreads()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(
+        std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(FleetServer, RunsRacksTimesWorkersThreads)
+{
+    // One pool for the fleet: each rack's dispatcher is one of its
+    // workers and the pool holds the others, so R racks x W workers
+    // start exactly R x W threads — with W = 1, none but the
+    // dispatchers, which still play each other's grid cells.
+    const FleetFixture fx;
+    const std::size_t base = processThreads();
+    for (const auto &[racks, workers] :
+         {std::pair{3, 1}, std::pair{2, 2}}) {
+        // A joined thread of the previous fleet may linger in /proc
+        // for a moment.
+        for (int i = 0; i < 1000 && processThreads() != base; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        FleetConfig fc;
+        fc.racks = racks;
+        fc.workers = workers;
+        fc.rack = fx.fleetRackConfig();
+        Server server(fx.dev, fx.libA, fc);
+        EXPECT_EQ(processThreads(),
+                  base + static_cast<std::size_t>(racks * workers))
+            << racks << " racks x " << workers << " workers";
+        EXPECT_EQ(server.workers(), workers);
+        EXPECT_EQ(server.submit({"t", fx.schedA}).get().status,
+                  JobStatus::Completed);
+    }
 }
 
 TEST(FleetServer, HotSwapUnderLoadBitIdenticalPerPinnedVersion)
