@@ -159,22 +159,7 @@ CompressedLibrary
 CompressionPipeline::compressLibrary(
     const waveform::PulseLibrary &lib) const
 {
-    if (hasTarget_)
-        return compileLibrary(lib).library;
-
-    // Fixed-threshold mode: same library shape, no threshold search.
-    CompressedLibrary out;
-    waveform::IqWaveform rt;
-    for (const auto &[id, wf] : lib.entries()) {
-        CompressedEntry e;
-        codec_->compress(wf, cfg_.base.threshold, e.cw);
-        codec_->decompress(e.cw, rt);
-        e.threshold = cfg_.base.threshold;
-        e.mse = std::max(dsp::mse(wf.i, rt.i), dsp::mse(wf.q, rt.q));
-        e.converged = true;
-        out.insert(id, std::move(e));
-    }
-    return out;
+    return compileLibrary(lib).library;
 }
 
 } // namespace compaqt::core

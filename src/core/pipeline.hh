@@ -49,9 +49,10 @@ class CompressionPipeline
         Builder &threshold(double t);
 
         /**
-         * Enable fidelity-aware mode: compressToTarget() and
-         * compressLibrary() run Algorithm 1 to this worst-channel
-         * round-trip MSE instead of using the fixed threshold.
+         * Enable fidelity-aware mode: compressToTarget() and the
+         * library compiles run Algorithm 1 to this worst-channel
+         * round-trip MSE instead of using the fixed threshold. The
+         * library compiles require it.
          */
         Builder &mseTarget(double target);
 
@@ -142,10 +143,10 @@ class CompressionPipeline
     // ---------------------------------------------- library building
 
     /**
-     * Compress a whole pulse library: Algorithm 1 per gate when an
-     * MSE target is configured (fanned out on the library compile
-     * plane with the configured worker count and planning mode), the
-     * fixed threshold otherwise (serial).
+     * Compress a whole pulse library: Algorithm 1 per gate to the MSE
+     * target, fanned out on the library compile plane with the
+     * configured worker count and planning mode (compileLibrary()'s
+     * library). @pre hasMseTarget()
      */
     CompressedLibrary
     compressLibrary(const waveform::PulseLibrary &lib) const;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "isa/interpreter.hh"
 #include "uarch/controller.hh"
 
 namespace compaqt::isa
@@ -126,6 +127,10 @@ Compiler::compile(const circuits::Schedule &sched) const
     out.programs.reserve(parts.size());
     out.stats.resize(parts.size());
     out.demand.reserve(parts.size());
+    out.events.resize(parts.size());
+    // Only a compressed rack with a model to feed replays events.
+    const bool record = rack_.config().controller.compressed &&
+                        rack_.cache().capacity() > 0;
     std::uint64_t kept = 0;
     for (std::size_t s = 0; s < parts.size(); ++s) {
         kept += parts[s].events.size();
@@ -133,6 +138,9 @@ Compiler::compile(const circuits::Schedule &sched) const
             compileShard(parts[s], &out.stats[s]));
         out.demand.push_back(rack_.controller(static_cast<int>(s))
                                  .execute(parts[s], *vlib_));
+        if (record)
+            Interpreter(rack_, vlib_, &out.events[s])
+                .run(out.programs[s]);
     }
     out.unownedEvents = sched.events.size() - kept;
     return out;

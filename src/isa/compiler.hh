@@ -116,6 +116,11 @@ struct CompiledSchedule
     /** Per shard, the shard controller's stats-only execute() of its
      *  slice: the bank/bandwidth demand a run of the plan reports. */
     std::vector<uarch::ExecutionStats> demand;
+    /** Per shard, the waveform-memory model events one run of its
+     *  program makes, in play order — the same for every run, since
+     *  the program and the pinned library fix them. Empty on a rack
+     *  with no model or no compression. */
+    std::vector<runtime::WindowEventLog> events;
     /** Events owned by no shard (dropped, mirroring
      *  RackStats::unownedEvents). */
     std::uint64_t unownedEvents = 0;
@@ -171,8 +176,10 @@ class Compiler
 
     /**
      * Lower a full schedule: partition by qubit ownership, then per
-     * shard compile the slice and account its demand. This is the
-     * entry point RuntimeService uses on a plan-cache miss.
+     * shard compile the slice, account its demand and record its
+     * model events (a run of the program through a recording
+     * isa::Interpreter, which decodes nothing). This is the entry
+     * point RuntimeService uses on a plan-cache miss.
      * @throws std::invalid_argument when a shard's mandatory stream
      *         exceeds the instruction-memory budget
      */

@@ -145,10 +145,11 @@ Interpreter::run(const InstructionProgram &prog)
             res.stats.idleCycles += in.arg;
             break;
         case Opcode::Prefetch: {
-            // Only an event for the model: whether it warms a cold
-            // window is decided when the grid replays the cell's log.
-            // A streak of PREFETCHes of consecutive windows of one
-            // (gate, channel, tier) folds into ONE prefetchWindows
+            // Only an event for the model, which a recording run (the
+            // compiler's record pass) logs; whether it warms a cold
+            // window is decided when the grid replays the plan's
+            // events. A streak of PREFETCHes of consecutive windows of
+            // one (gate, channel, tier) folds into ONE prefetchWindows
             // call, retiring op by op like a chunked PLAY streak.
             ++res.stats.prefetches;
             const ResolvedGate &g = resolve(in.gateRef);

@@ -4,10 +4,12 @@
  * drive playback through runtime::WindowPlayer. RuntimeService runs
  * every batch this way, one program per (circuit, shard) cell.
  *
- * A PREFETCH op only records an event for the rack's waveform-memory
- * model (when the interpreter runs inside RuntimeService's grid with
- * a cell log); the grid's replay decides whether it warmed a cold
- * window. Playback itself always decodes. Streaks fold: consecutive
+ * A PREFETCH op is only an event for the rack's waveform-memory model:
+ * a playing interpreter just retires it. isa::Compiler::compile runs
+ * each shard program once through an interpreter with an event log,
+ * which records every played range and PREFETCH streak and decodes
+ * nothing; the plan keeps those events, and the grid's replay decides
+ * whether a prefetch warmed a cold window. Streaks fold: consecutive
  * PLAYs continuing one (gate, channel) range make one playWindows
  * call, and consecutive PREFETCHes of consecutive windows of one
  * (gate, channel, tier) one prefetchWindows call; every folded op
@@ -69,8 +71,9 @@ class Interpreter
 
     /** Execute against an explicitly pinned epoch (the batch path:
      *  every cell of one batch shares the batch's pin). With `log`,
-     *  every played range and PREFETCH is recorded for the grid's
-     *  model replay (see runtime::WindowPlayer). */
+     *  the run records instead of playing: every played range and
+     *  PREFETCH streak becomes events in `log` and nothing decodes
+     *  (the compiler's record pass; see runtime::WindowPlayer). */
     Interpreter(const runtime::Rack &rack,
                 runtime::VersionedLibrary vlib,
                 runtime::WindowEventLog *log = nullptr)
@@ -99,7 +102,10 @@ class Interpreter
      *         a mismatch is a corrupt, stale, or misrouted program,
      *         not a soft miss. Thrown at the first instruction that
      *         uses the gate, or for the whole streak whose range
-     *         overruns, before any of it plays or is recorded.
+     *         overruns, before any of it plays or is recorded. A
+     *         program isa::Compiler made against the pinned epoch
+     *         passes all three checks; they guard hand-built and
+     *         InstructionProgram::fromWords programs.
      */
     InterpreterResult run(const InstructionProgram &prog);
 

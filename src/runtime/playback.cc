@@ -28,6 +28,10 @@ WindowPlayer::playWindows(const waveform::GateId &id,
     const std::uint32_t end = first + count;
     COMPAQT_REQUIRE(end <= channel.numWindows(),
                     "play range outside the channel's window grid");
+    if (log_) {
+        record(id, entry, ch, first, count, false, 0);
+        return;
+    }
     const std::size_t cap = ws * kBatchWindows;
     if (scratch_.size() < cap)
         scratch_.resize(cap);
@@ -45,20 +49,16 @@ WindowPlayer::playWindows(const waveform::GateId &id,
 
     if (!channel.isAdaptive()) {
         decode(channel, first, count);
-        record(id, entry, ch, first, count, false, 0);
     } else {
-        // One walk of the window-aligned segments: a flat run is a
-        // constant fill counted as bypassed (a flat window never
-        // occupies the model); a ramp run decodes on its segment's
-        // sub-channel and records its event.
+        // One walk of the window-aligned segments: a ramp run decodes
+        // on its segment's sub-channel, a flat run is a constant fill
+        // counted as bypassed.
         channel.forEachSegmentRun(
             first, end,
             [&](const core::AdaptiveSegment &seg, std::size_t lo,
                 std::size_t hi, std::size_t local) {
                 if (!seg.isFlat) {
                     decode(seg.windows, local, hi - lo);
-                    record(id, entry, ch, static_cast<std::uint32_t>(lo),
-                           static_cast<std::uint32_t>(hi - lo), false, 0);
                     return;
                 }
                 const std::size_t n =
@@ -82,22 +82,8 @@ WindowPlayer::prefetchWindows(const waveform::GateId &id,
                               std::uint8_t ch, std::uint32_t first,
                               std::uint32_t count, std::uint8_t tier)
 {
-    if (!log_ || count == 0)
-        return;
-    const core::CompressedChannel &channel =
-        ch == 0 ? entry.cw.i : entry.cw.q;
-    if (!channel.isAdaptive()) {
+    if (log_)
         record(id, entry, ch, first, count, true, tier);
-        return;
-    }
-    channel.forEachSegmentRun(
-        first, std::size_t{first} + count,
-        [&](const core::AdaptiveSegment &seg, std::size_t lo,
-            std::size_t hi, std::size_t) {
-            if (!seg.isFlat)
-                record(id, entry, ch, static_cast<std::uint32_t>(lo),
-                       static_cast<std::uint32_t>(hi - lo), true, tier);
-        });
 }
 
 void
@@ -106,28 +92,46 @@ WindowPlayer::record(const waveform::GateId &id,
                      std::uint32_t first, std::uint32_t count,
                      bool prefetch, std::uint8_t tier)
 {
-    if (!log_)
+    if (count == 0)
         return;
     const auto &cw = entry.cw;
+    const core::CompressedChannel &channel = ch == 0 ? cw.i : cw.q;
     const auto i_windows = static_cast<std::uint32_t>(cw.i.numWindows());
-    if (ch == 1)
-        first += i_windows;
-    // A range continuing the previous play of the same gate (the Q
-    // channel right after the I channel, or a chunk right after the
-    // chunk before it) extends that event: same windows, same order.
-    if (!prefetch && !log_->empty()) {
-        WindowEvent &last = log_->back();
-        if (!last.prefetch && last.gate == id &&
-            last.first + last.count == first) {
-            last.count += count;
-            return;
+    const std::uint32_t base = ch == 1 ? i_windows : 0;
+    // One event per run of windows the model holds: flat bypass
+    // windows never occupy it.
+    const auto add = [&](std::uint32_t lo, std::uint32_t n) {
+        lo += base;
+        // A play continuing the previous play of the same gate (the Q
+        // channel right after the I channel, or a chunk right after
+        // the chunk before it) extends that event: same windows, same
+        // order.
+        if (!prefetch && !log_->empty()) {
+            WindowEvent &last = log_->back();
+            if (!last.prefetch && last.gate == id &&
+                last.first + last.count == lo) {
+                last.count += n;
+                return;
+            }
         }
+        log_->push_back(
+            {id, prefetch, tier, lo, n, i_windows,
+             i_windows + static_cast<std::uint32_t>(cw.q.numWindows()),
+             static_cast<std::uint32_t>(channel.windowSize),
+             libVersion_});
+    };
+    if (!channel.isAdaptive()) {
+        add(first, count);
+        return;
     }
-    log_->push_back(
-        {id, prefetch, tier, first, count, i_windows,
-         i_windows + static_cast<std::uint32_t>(cw.q.numWindows()),
-         static_cast<std::uint32_t>((ch == 0 ? cw.i : cw.q).windowSize),
-         libVersion_});
+    channel.forEachSegmentRun(
+        first, std::size_t{first} + count,
+        [&](const core::AdaptiveSegment &seg, std::size_t lo,
+            std::size_t hi, std::size_t) {
+            if (!seg.isFlat)
+                add(static_cast<std::uint32_t>(lo),
+                    static_cast<std::uint32_t>(hi - lo));
+        });
 }
 
 } // namespace compaqt::runtime

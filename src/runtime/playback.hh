@@ -8,11 +8,12 @@
  * bypass. Every play decodes; the rack's waveform-memory model never
  * sits on the sample path.
  *
- * Inside RuntimeService's grid a player also records what it played —
- * one WindowEvent per ramp run of a played or prefetched range — into
- * its cell's log, which the grid replays into the rack's model after
- * every cell has finished. A player built without a log decodes and
- * records nothing.
+ * A player built with an event log is a recorder instead: it decodes
+ * nothing and appends one WindowEvent per ramp run of a played or
+ * prefetched range to the log. isa::Compiler::compile records each
+ * shard program's events this way once, into the plan, and
+ * RuntimeService's grid replays the plan's events into the rack's
+ * model beside the cells that play it.
  */
 
 #ifndef COMPAQT_RUNTIME_PLAYBACK_HH
@@ -38,9 +39,9 @@ struct PlaybackCounters
 };
 
 /**
- * Per-cell playback state: one Decompressor, the reused scratch
- * buffer, and the optional event log. Not thread-safe — build one per
- * worker cell, like the codec instances it resolves.
+ * Per-cell playback state: one Decompressor and the reused scratch
+ * buffer — or, for a recorder, the event log. Not thread-safe — build
+ * one per worker cell, like the codec instances it resolves.
  */
 class WindowPlayer
 {
@@ -59,14 +60,13 @@ class WindowPlayer
      * Play against a pinned library epoch: recorded events carry
      * `vlib.version`, so windows of different calibrations never
      * satisfy each other in the model. The caller owns the pin (and
-     * passes the entries). With `log` non-null, and on a compressed
-     * rack whose model has capacity, every played range and prefetch
-     * is appended to it.
+     * passes the entries). With `log` non-null the player records
+     * instead of playing: every played range and prefetch is
+     * appended to it and nothing decodes.
      */
     WindowPlayer(const Rack &rack, const VersionedLibrary &vlib,
                  WindowEventLog *log = nullptr)
-        : decode_(rack.config().controller.compressed),
-          log_(decode_ && rack.cache().capacity() > 0 ? log : nullptr),
+        : decode_(rack.config().controller.compressed), log_(log),
           libVersion_(vlib.version)
     {
     }
@@ -82,7 +82,9 @@ class WindowPlayer
      * channel's segments are walked once, and every sample — flat
      * fills included — is written to the scratch. Adds the range's
      * batches (ceil(count / kBatchWindows)) and windows to the
-     * decode.kernel.* counters once.
+     * decode.kernel.* counters once. A recorder instead appends the
+     * range's events (see prefetchWindows) and leaves `c` and the
+     * counters alone.
      * @pre the range is within the channel's window grid (a range
      *      past it panics; isa::Interpreter rejects one up front)
      */
@@ -96,8 +98,9 @@ class WindowPlayer
      * [first, first + count) of channel `ch` with the compiler's tier
      * hint (0 fast, 1 slow) — one event per ramp run, which the model
      * applies window by window in order. Flat bypass windows never
-     * occupy the model and record nothing; so does a player without
-     * a log. @pre the range is within the channel's window grid
+     * occupy the model and record nothing; a player that plays
+     * records nothing at all. @pre the range is within the channel's
+     * window grid
      */
     void prefetchWindows(const waveform::GateId &id,
                          const core::CompressedEntry &entry,
@@ -105,6 +108,8 @@ class WindowPlayer
                          std::uint32_t count, std::uint8_t tier);
 
   private:
+    /** Append the events of windows [first, first + count) of channel
+     *  `ch`: one per ramp run, in window order. */
     void record(const waveform::GateId &id,
                 const core::CompressedEntry &entry, std::uint8_t ch,
                 std::uint32_t first, std::uint32_t count, bool prefetch,

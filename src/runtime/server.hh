@@ -270,7 +270,8 @@ struct ServerStats
      *  counters (each rack's mixed-tenant traffic shares that rack's
      *  model), so the sum is bit-identical at any worker count for a
      *  given batch sequence. A batch that throws and is re-run one job
-     *  at a time contributes only the re-runs: the failed batch never
+     *  at a time contributes only the re-runs: only a batch's compile
+     *  throws, before its grid starts, so the failed batch never
      *  reached the model. */
     DecodedCacheStats cache;
     double cacheHitRate = 0.0;

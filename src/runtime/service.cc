@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "isa/interpreter.hh"
@@ -19,20 +18,15 @@ namespace
 
 using Plan = std::shared_ptr<const isa::CompiledSchedule>;
 
-/**
- * Play one shard's program of one circuit's plan, driven by the
- * interpreter, which records what it plays and prefetches into the
- * cell's log (emptied first: logs are reused across batches).
- */
+/** Play one shard's program of one circuit's plan, driven by the
+ *  interpreter. */
 PlaybackCounters
 playShard(const Rack &rack, const VersionedLibrary &vlib,
-          const isa::CompiledSchedule &plan, std::size_t shard,
-          WindowEventLog &log)
+          const isa::CompiledSchedule &plan, std::size_t shard)
 {
     COMPAQT_TRACE_SPAN("shard", "shard.play", "shard", shard, "events",
                        plan.stats[shard].playedEvents);
-    log.clear();
-    isa::Interpreter interp(rack, vlib, &log);
+    isa::Interpreter interp(rack, vlib);
     return interp.run(plan.programs[shard]).play;
 }
 
@@ -128,32 +122,39 @@ finalizeFleet(RackStats &stats)
 
 /**
  * The batch skeleton: play the (circuit, shard) grid of the batch's
- * plans concurrently (each cell recording into its own event log),
- * then reduce serially in a fixed order — replaying the logs into the
- * rack's waveform-memory model in (circuit, shard) order first — so no
- * rolled-up number, model counters included, depends on worker
- * interleaving. `t0` is when the batch started fetching its plans.
+ * plans concurrently while one more job replays the plans' events into
+ * the rack's waveform-memory model in (circuit, shard) order, then
+ * reduce serially in a fixed order — so no rolled-up number, model
+ * counters included, depends on worker interleaving. The replay need
+ * not wait for the cells: the events are the plan's, and no cell of a
+ * compiler-made plan throws. `t0` is when the batch started fetching
+ * its plans.
  */
 BatchExecution
 runGrid(const Rack &rack, const VersionedLibrary &vlib,
         common::Executor &exec, const std::vector<Plan> &plans,
-        std::vector<WindowEventLog> &logs,
         std::chrono::steady_clock::time_point t0)
 {
     const auto n_shards = static_cast<std::size_t>(rack.numShards());
     const std::size_t n_cells = plans.size() * n_shards;
-    if (logs.size() < n_cells)
-        logs.resize(n_cells);
+    std::vector<const WindowEventLog *> logs;
+    logs.reserve(n_cells);
+    for (const Plan &plan : plans)
+        for (const WindowEventLog &log : plan->events)
+            logs.push_back(&log);
     std::vector<PlaybackCounters> played(n_cells);
-    exec.forEach(n_cells, [&](std::size_t i) {
-        played[i] = playShard(rack, vlib, *plans[i / n_shards],
-                              i % n_shards, logs[i]);
-    });
-    // Reached only when every cell succeeded: a batch that throws
-    // leaves the model exactly as it found it.
     std::vector<std::uint64_t> inserted(n_cells, 0);
-    const DecodedCacheStats cache = rack.cache().replay(
-        std::span<const WindowEventLog>(logs.data(), n_cells), inserted);
+    DecodedCacheStats cache;
+    // Job 0 is the replay, so one worker runs it first, on the caller.
+    exec.forEach(n_cells + 1, [&](std::size_t i) {
+        if (i == 0) {
+            cache = rack.cache().replay(logs, inserted);
+            return;
+        }
+        --i;
+        played[i] = playShard(rack, vlib, *plans[i / n_shards],
+                              i % n_shards);
+    });
     const auto t1 = std::chrono::steady_clock::now();
 
     // Serial, fixed-order reduction: shard-level peaks are maxima
@@ -240,7 +241,7 @@ RuntimeService::executeBatchCompiledPerJob(
 
     // One plan lookup per schedule. A miss compiles the whole schedule
     // once, inside the batch's wall clock; a compile that throws fails
-    // the batch before any cell plays.
+    // the batch before any cell plays or the model replays.
     const auto t0 = std::chrono::steady_clock::now();
     const std::uint64_t cfgHash = compilerCfgHash(cfg);
     std::vector<Plan> plans;
@@ -256,7 +257,7 @@ RuntimeService::executeBatchCompiledPerJob(
         }
         plans.push_back(std::move(plan));
     }
-    return runGrid(rack_, vlib, *exec_, plans, logs_, t0);
+    return runGrid(rack_, vlib, *exec_, plans, t0);
 }
 
 } // namespace compaqt::runtime

@@ -13,11 +13,12 @@
  * demand accounting, compiling — happens once per plan, at its first
  * dispatch; every cell then interprets its shard's PLAY/WAIT/PREFETCH
  * program. Playback decodes every played window, every time — the way
- * COMPAQT decompresses on the way to the DACs. Each cell records the
- * ranges it played and prefetched; once the whole grid has succeeded,
- * the serial reduction replays those records into the rack's
- * waveform-memory model in (circuit, shard) order, which is what
- * makes the model's counters deterministic.
+ * COMPAQT decompresses on the way to the DACs. The ranges a program
+ * plays and prefetches are fixed when it compiles, so the plan also
+ * carries them as model events; one more job of the grid replays the
+ * batch's events into the rack's waveform-memory model in (circuit,
+ * shard) order while the cells decode, which is what makes the
+ * model's counters deterministic.
  */
 
 #ifndef COMPAQT_RUNTIME_SERVICE_HH
@@ -87,9 +88,8 @@ struct RackStats
      *  lock and returns what they added, so concurrent services on
      *  one Rack never fold into each other's counters. A pure
      *  function of the model state the batch found and the batch —
-     *  bit-identical at any worker count. A batch that throws never
-     *  touches the model. (entries/residentSamples are the model's
-     *  state after the replay.) */
+     *  bit-identical at any worker count. (entries/residentSamples
+     *  are the model's state after the replay.) */
     DecodedCacheStats cache;
     double cacheHitRate = 0.0;
 
@@ -149,7 +149,8 @@ struct BatchExecution
  * field but the wall-clock ones is bit-identical across worker
  * counts: every (circuit, shard) cell is a pure function of its
  * schedule slice and its compiled program, computed independently and
- * reduced — model replay included — in a fixed order.
+ * reduced in a fixed order, and the model replays the plans' events in
+ * that same order.
  */
 class RuntimeService
 {
@@ -168,16 +169,21 @@ class RuntimeService
      * `.total` is the whole batch. Each schedule's plan comes from
      * the plan cache — one lookup per schedule — or, on a miss, from
      * isa::Compiler::compile under `cfg` (partition, then per shard
-     * the program and the controller's stats-only demand); each cell
-     * drives its shard's program through isa::Interpreter against the
-     * rack's model. Per shard slice, every event whose gate the
-     * pinned library holds plays once: one gate, every window of both
-     * channels (all of its samples on an uncompressed rack). The
-     * model counters and prefetchesIssued depend on the emitted
-     * PREFETCHes and the model state, but not on the worker count.
+     * the program, the controller's stats-only demand and the model
+     * events); each cell drives its shard's program through
+     * isa::Interpreter, and one job beside them replays the plans'
+     * events into the rack's model. Per shard slice, every event
+     * whose gate the pinned library holds plays once: one gate, every
+     * window of both channels (all of its samples on an uncompressed
+     * rack). The model counters and prefetchesIssued depend on the
+     * emitted PREFETCHes and the model state, but not on the worker
+     * count.
      * @throws std::invalid_argument when a shard's mandatory stream
-     *         exceeds cfg.instructionMemoryWords — the whole batch
-     *         fails and the model is left untouched
+     *         exceeds cfg.instructionMemoryWords. Only the compile
+     *         throws — a compiler-made plan passes every check the
+     *         interpreter makes — and every plan is fetched or
+     *         compiled before any cell plays or the replay starts, so
+     *         a batch that throws never touches the model.
      */
     BatchExecution executeBatchCompiledPerJob(
         const std::vector<circuits::Schedule> &batch,
@@ -198,10 +204,6 @@ class RuntimeService
      *  of a repeating workload skips partition, demand accounting and
      *  the compiler entirely. */
     isa::PlanCache plans_;
-    /** The grid's per-cell event logs, cleared and refilled by every
-     *  batch so their capacity carries over (a service has one caller
-     *  at a time). */
-    std::vector<WindowEventLog> logs_;
 };
 
 } // namespace compaqt::runtime

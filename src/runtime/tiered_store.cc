@@ -543,7 +543,7 @@ TieredWindowStore::TieredWindowStore(const TieredStoreConfig &cfg)
 TieredWindowStore::~TieredWindowStore() = default;
 
 TieredStoreStats
-TieredWindowStore::replay(std::span<const WindowEventLog> logs,
+TieredWindowStore::replay(std::span<const WindowEventLog *const> logs,
                           std::span<std::uint64_t> prefetches_inserted)
 {
     COMPAQT_REQUIRE(prefetches_inserted.size() == logs.size(),
@@ -556,7 +556,7 @@ TieredWindowStore::replay(std::span<const WindowEventLog> logs,
     const std::uint64_t splicesBefore = model_->splices;
     for (std::size_t i = 0; i < logs.size(); ++i) {
         std::uint64_t inserted = 0;
-        for (const WindowEvent &e : logs[i])
+        for (const WindowEvent &e : *logs[i])
             inserted += model_->apply(e);
         prefetches_inserted[i] = inserted;
     }

@@ -9,12 +9,12 @@
  * (cascaded random-access memories, arXiv:2503.13953) whose every
  * access (hit, fill, demotion) costs `tier1PenaltyCycles`.
  *
- * Only replay feeds the model: RuntimeService's grid cells record one
- * WindowEvent per PLAY range and per PREFETCH streak while they decode
- * in parallel, and once the grid has succeeded its serial reduction
- * replays the logs in (circuit, shard) order. The counters are thus
- * bit-identical at any worker count, and a throwing batch never
- * reaches the model.
+ * Only replay feeds the model. Each compiled plan carries its shard
+ * programs' events — one WindowEvent per PLAY range and per PREFETCH
+ * streak, recorded once at compile time — and RuntimeService's grid
+ * replays a batch's plans in (circuit, shard) order as one job beside
+ * the cells that decode them. The counters are thus bit-identical at
+ * any worker count.
  */
 
 #ifndef COMPAQT_RUNTIME_TIERED_STORE_HH
@@ -162,7 +162,7 @@ struct WindowEvent
     std::uint64_t libVersion = 0;
 };
 
-/** One execution cell's recorded accesses, in play order. */
+/** One shard program's recorded accesses, in play order. */
 using WindowEventLog = std::vector<WindowEvent>;
 
 /** Keys-only two-tier LRU model of a rack's decoded-window memory.
@@ -187,17 +187,17 @@ class TieredWindowStore
     /** True when a slow tier is provisioned. */
     bool tiered() const { return cfg_.tier1.windows > 0; }
 
-    /** Apply `logs` in order, atomically, and return the counters this
-     *  replay added (point-in-time fields: the state after it). A demand
-     *  window probes tier 0, then tier 1 (a proven-reuse tier-1 hit
-     *  promotes); a miss fills under the admission policy. A PREFETCH
-     *  window is inserted cold into its hinted tier or refreshed if
-     *  resident (a tier-0 hint promotes a tier-1 window);
-     *  `prefetches_inserted[i]` (one per log) gets log i's cold inserts.
-     *  The replay's list splices (one per run of tier-0 windows still
-     *  linked in play order) go to the registry counter
-     *  `cache.replay.splices`. */
-    TieredStoreStats replay(std::span<const WindowEventLog> logs,
+    /** Apply `*logs[0]`, `*logs[1]`, ... in order, atomically, and
+     *  return the counters this replay added (point-in-time fields:
+     *  the state after it). A demand window probes tier 0, then tier 1
+     *  (a proven-reuse tier-1 hit promotes); a miss fills under the
+     *  admission policy. A PREFETCH window is inserted cold into its
+     *  hinted tier or refreshed if resident (a tier-0 hint promotes a
+     *  tier-1 window); `prefetches_inserted[i]` (one per log) gets log
+     *  i's cold inserts. The replay's list splices (one per run of
+     *  tier-0 windows still linked in play order) go to the registry
+     *  counter `cache.replay.splices`. */
+    TieredStoreStats replay(std::span<const WindowEventLog *const> logs,
                             std::span<std::uint64_t> prefetches_inserted);
 
     TieredStoreStats stats() const;

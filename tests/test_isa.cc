@@ -34,6 +34,7 @@
 #include "rack_oracle.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
+#include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 #include "waveform/device.hh"
 #include "waveform/library.hh"
@@ -801,8 +802,8 @@ splitPrefetches(const runtime::WindowEventLog &log)
 
 TEST(IsaExecution, PrefetchStreaksReplayLikeOneWindowPrefetches)
 {
-    // The interpreter folds each PREFETCH streak into one range event.
-    // On the compiled QEC shard programs, the logs must replay to
+    // The record pass folds each PREFETCH streak into one range event.
+    // On the compiled QEC shard programs, the plan's logs must replay to
     // exactly the counters and per-log cold inserts of the same logs
     // with every range split into one-window events (cold, then over
     // the windows the first pass left resident), and every folded
@@ -822,12 +823,14 @@ TEST(IsaExecution, PrefetchStreaksReplayLikeOneWindowPrefetches)
         const runtime::Rack rack(dev, clib, rc);
         const auto compiled =
             Compiler(rack).compile(circuits::schedule(sc.circuit, {}));
-        std::vector<runtime::WindowEventLog> ranged, split;
+        ASSERT_EQ(compiled.events.size(), compiled.programs.size())
+            << tag;
+        std::vector<const runtime::WindowEventLog *> ranged;
+        std::vector<runtime::WindowEventLog> split;
         std::uint64_t prefetch_ops = 0, prefetch_events = 0;
         for (int pass = 0; pass < 2; ++pass)
             for (std::size_t s = 0; s < compiled.programs.size(); ++s) {
-                runtime::WindowEventLog log;
-                Interpreter interp(rack, rack.currentLibrary(), &log);
+                Interpreter interp(rack);
                 const auto run = interp.run(compiled.programs[s]);
                 EXPECT_EQ(run.stats.prefetches,
                           compiled.stats[s].prefetchInstructions)
@@ -836,19 +839,23 @@ TEST(IsaExecution, PrefetchStreaksReplayLikeOneWindowPrefetches)
                           compiled.stats[s].instructions)
                     << tag << " shard " << s;
                 prefetch_ops += run.stats.prefetches;
+                const runtime::WindowEventLog &log = compiled.events[s];
                 for (const auto &e : log)
                     prefetch_events += e.prefetch ? 1 : 0;
                 split.push_back(splitPrefetches(log));
-                ranged.push_back(std::move(log));
+                ranged.push_back(&log);
             }
         EXPECT_GT(prefetch_events, 0u) << tag;
         EXPECT_LT(prefetch_events, prefetch_ops) << tag;
 
         runtime::TieredWindowStore a(rack.cache().config());
         runtime::TieredWindowStore b(rack.cache().config());
+        std::vector<const runtime::WindowEventLog *> split_logs;
+        for (const auto &log : split)
+            split_logs.push_back(&log);
         std::vector<std::uint64_t> ia(ranged.size()), ib(split.size());
         const auto x = a.replay(ranged, ia);
-        const auto y = b.replay(split, ib);
+        const auto y = b.replay(split_logs, ib);
         EXPECT_GT(x.prefetches, 0u) << tag;
         EXPECT_GT(x.prefetchHits, 0u) << tag;
         EXPECT_EQ(ia, ib) << tag;
@@ -1368,6 +1375,45 @@ TEST_F(IsaCompilerTest, CompileAccountsEachShardsDemand)
                       want.peakBandwidthBytesPerSec)
                 << tag;
             EXPECT_EQ(got.missingGates, want.missingGates) << tag;
+        }
+    }
+}
+
+TEST_F(IsaCompilerTest, CompileRecordsModelEventsWithoutDecoding)
+{
+    // The compile's record pass runs each shard program through a
+    // recording interpreter, which decodes nothing: on every rack the
+    // compile leaves the decode kernel's counter alone. A modeled
+    // compressed rack's plan carries every shard's events, stamped
+    // with the pinned epoch; a rack with no model or no compression
+    // has nothing to replay, so its plan's logs are empty.
+    auto &windows =
+        telemetry::Registry::global().counter("decode.kernel.windows");
+    auto uncompressed = rackConfig(*clib_, 2, 4096);
+    uncompressed.controller.compressed = false;
+    struct Case
+    {
+        const char *name;
+        runtime::Rack rack;
+        bool events;
+    };
+    const Case cases[] = {
+        {"modeled", makeRack(2, 4096), true},
+        {"no model", makeRack(2, 0), false},
+        {"uncompressed", runtime::Rack(*dev_, clib_, uncompressed), false},
+    };
+    const auto sched = deviceWorkload(*dev_);
+    for (const Case &tc : cases) {
+        const std::uint64_t before = windows.value();
+        const auto plan = Compiler(tc.rack).compile(sched);
+        EXPECT_EQ(windows.value(), before) << tc.name;
+        ASSERT_EQ(plan.events.size(), plan.programs.size()) << tc.name;
+        const std::uint64_t version = tc.rack.currentLibrary().version;
+        for (std::size_t s = 0; s < plan.events.size(); ++s) {
+            EXPECT_EQ(!plan.events[s].empty(), tc.events)
+                << tc.name << " shard " << s;
+            for (const runtime::WindowEvent &e : plan.events[s])
+                EXPECT_EQ(e.libVersion, version) << tc.name;
         }
     }
 }

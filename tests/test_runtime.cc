@@ -219,10 +219,10 @@ flat(std::size_t windows)
 /** Replay one log; returns the replay's own counters and, through
  *  `inserted`, the cold prefetches it made. */
 TieredStoreStats
-replayLog(TieredWindowStore &model, WindowEventLog log,
+replayLog(TieredWindowStore &model, const WindowEventLog &log,
           std::uint64_t *inserted = nullptr)
 {
-    const std::vector<WindowEventLog> logs{std::move(log)};
+    const WindowEventLog *logs[] = {&log};
     std::vector<std::uint64_t> cold(1, 0);
     const auto d = model.replay(logs, cold);
     if (inserted)
@@ -1100,11 +1100,11 @@ TEST_F(RackSurface49, ModelCountersIdenticalAcrossWorkerCounts)
 
 TEST_F(RackSurface49, ThrowingBatchLeavesTheModelUntouched)
 {
-    // A batch that throws mid-grid must not leave its completed
-    // cells' plays in the model: the server re-runs such a batch one
-    // job at a time, and those re-runs must count only their own
-    // hits. The short schedule's programs fit an instruction memory
-    // sized to them; the surface-code cycle's do not.
+    // A batch that throws must leave the model as it found it: the
+    // server re-runs such a batch one job at a time, and those re-runs
+    // must count only their own hits. The short schedule's programs
+    // fit an instruction memory sized to them; the surface-code
+    // cycle's do not, so compiling its plan throws.
     const Rack rack(*dev_, clib_, rackConfig(4, 1 << 15));
     circuits::Circuit c(8);
     for (int q = 0; q < 8; ++q)
@@ -1124,8 +1124,9 @@ TEST_F(RackSurface49, ThrowingBatchLeavesTheModelUntouched)
     EXPECT_GT(svc.executeBatchCompiledPerJob({small}, cfg).total.cache.misses,
               0u);
     const auto before = rack.cache().stats();
-    // One worker runs the cells in order: the small schedule's cells
-    // all complete before the first surface-code cell throws.
+    // The small schedule's plan is cached, so the batch fails while
+    // compiling the surface-code cycle, before any cell plays or the
+    // replay starts.
     EXPECT_THROW(svc.executeBatchCompiledPerJob({small, *sched_}, cfg),
                  std::invalid_argument);
     expectSameModelCounters(before, rack.cache().stats(),
@@ -1419,10 +1420,11 @@ TEST(RackAdaptive, ControllerPlaybackMatchesGoldenDecoder)
 
 /** Play every (first, count) sub-range of one channel through one
  *  player, and the same windows one at a time through a second: the
- *  counters must match each other and the segment map, the range must
- *  tick decode.kernel.* by its batches once, and the two event logs
- *  must be identical and replay into fresh models with identical
- *  counters. */
+ *  counters must match each other and the segment map, and the range
+ *  must tick decode.kernel.* by its batches once. Recording the same
+ *  plays through two recorders must leave their counters and
+ *  decode.kernel.* alone, and the two event logs must be identical and
+ *  replay into fresh models with identical counters. */
 void
 expectRangesMatchOneWindowPlays(const Rack &rack,
                                 const waveform::GateId &id,
@@ -1434,8 +1436,10 @@ expectRangesMatchOneWindowPlays(const Rack &rack,
     const auto n = static_cast<std::uint32_t>(channel.numWindows());
     const VersionedLibrary vlib = rack.currentLibrary();
     WindowEventLog ranged, single;
-    WindowPlayer a(rack, vlib, &ranged);
-    WindowPlayer b(rack, vlib, &single);
+    WindowPlayer a(rack, vlib);
+    WindowPlayer b(rack, vlib);
+    WindowPlayer ra(rack, vlib, &ranged);
+    WindowPlayer rb(rack, vlib, &single);
     auto &batches =
         telemetry::Registry::global().counter("decode.kernel.batches");
     auto &windows =
@@ -1448,7 +1452,7 @@ expectRangesMatchOneWindowPlays(const Rack &rack,
                                     std::to_string(count) + ")";
             ranged.clear();
             single.clear();
-            PlaybackCounters ca, cb, want;
+            PlaybackCounters ca, cb, want, recorded;
             std::uint32_t flat = 0;
             const std::uint64_t b0 = batches.value();
             const std::uint64_t w0 = windows.value();
@@ -1456,6 +1460,14 @@ expectRangesMatchOneWindowPlays(const Rack &rack,
             EXPECT_EQ(batches.value() - b0, (count + kBatch - 1) / kBatch)
                 << tag;
             EXPECT_EQ(windows.value() - w0, count) << tag;
+            const std::uint64_t b1 = batches.value();
+            const std::uint64_t w1 = windows.value();
+            ra.playWindows(id, e, ch, first, count, recorded);
+            for (std::uint32_t w = first; w < first + count; ++w)
+                rb.playWindows(id, e, ch, w, 1, recorded);
+            EXPECT_EQ(batches.value(), b1) << tag;
+            EXPECT_EQ(windows.value(), w1) << tag;
+            EXPECT_EQ(recorded.windows + recorded.samples, 0u) << tag;
             for (std::uint32_t w = first; w < first + count; ++w) {
                 b.playWindows(id, e, ch, w, 1, cb);
                 const std::size_t len = channel.windowSamples(w);
